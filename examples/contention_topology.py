@@ -20,9 +20,9 @@ from repro.analysis.topology import attach_topology
 from repro.cache.hierarchy import MemoryHierarchy, build_llc
 from repro.core import ContentionTracker, PInTE
 from repro.cpu import Core
-from repro.dram import Dram
-from repro.sim import simulate_pair
-from repro.sim.simulator import simulate
+from repro.sim.session import (ADDRESS_SPACE_STRIDE, SessionBuilder,
+                               TimingStepper)
+from repro.trace.packed import as_packed
 
 WARMUP, MEASURE = 6_000, 20_000
 
@@ -51,35 +51,21 @@ def run_pinte(victim_trace, config):
     engine = PInTE(PinteConfig(p_induce=0.3, seed=1), llc, tracker)
     hierarchy.attach_pinte(engine)
     core = Core(config.core, hierarchy)
-    for record in victim_trace.records[:WARMUP + MEASURE]:
-        core.execute(record)
+    packed = as_packed(victim_trace)
+    core.run(packed.pcs, packed.loads, packed.stores, packed.flags, 0,
+             WARMUP + MEASURE)
     return topology
 
 
 def run_pair(victim_trace, adversary_trace, config):
     # simulate_pair builds its own tracker internally, so for topology we
-    # re-create the shared fabric by hand.
-    tracker = ContentionTracker()
-    llc = build_llc(config)
-    topology = attach_topology(tracker, llc.n_sets, victim_owner=0)
-    dram = Dram(config.dram)
-    registry = {}
-    h0 = MemoryHierarchy(config, 0, llc=llc, dram=dram, tracker=tracker,
-                         registry=registry)
-    h1 = MemoryHierarchy(config, 1, llc=llc, dram=dram, tracker=tracker,
-                         registry=registry)
-    cores = [Core(config.core, h0), Core(config.core, h1)]
-    from repro.sim.multicore import _offset_trace
-
-    streams = [victim_trace.records, _offset_trace(adversary_trace, 1)]
-    indices = [0, 0]
-    executed = 0
-    while executed < WARMUP + MEASURE:
-        core_id = 0 if cores[0].cycle <= cores[1].cycle else 1
-        cores[core_id].execute(streams[core_id][indices[core_id]])
-        indices[core_id] = (indices[core_id] + 1) % len(streams[core_id])
-        if core_id == 0:
-            executed += 1
+    # assemble the shared two-core machine and drive its scheduler directly.
+    session = SessionBuilder(config).build_timing(2)
+    topology = attach_topology(session.tracker, session.llc.n_sets,
+                               victim_owner=0)
+    streams = [as_packed(victim_trace),
+               as_packed(adversary_trace).offset(ADDRESS_SPACE_STRIDE)]
+    TimingStepper(session, streams).run(WARMUP + MEASURE)
     return topology
 
 

@@ -37,7 +37,8 @@ def main() -> None:
           f"{len(payload['fastcache'])} fastcache, "
           f"{len(payload['victim_sequences'])} victim-sequence, "
           f"{len(payload['multicore'])} multicore, "
-          f"{len(payload['hybrid'])} hybrid goldens)")
+          f"{len(payload['hybrid'])} hybrid, "
+          f"{len(payload['hooks'])} hook goldens)")
 
 
 if __name__ == "__main__":

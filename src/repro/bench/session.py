@@ -11,10 +11,8 @@ committed ``BENCH_datapath.json`` floors**::
     repro bench --suite session --baseline benchmarks/reports/BENCH_datapath.json --check
 
 On top of the shared metrics it records session-only observables: the
-batched furthest-behind multicore schedule, the hybrid (PInTE +
-2nd-Trace) context the refactor unlocked, and the blocked/stepwise
-single-core speedup ratio — the fast path :class:`SingleCoreStepper`
-takes when no live-clock hook needs per-instruction control.
+furthest-behind multicore schedule and the hybrid (PInTE + 2nd-Trace)
+context the refactor unlocked.
 """
 
 from __future__ import annotations
@@ -30,10 +28,8 @@ from repro.config import scaled_config
 from repro.core import PinteConfig
 from repro.sim.fastcache import simulate_cache_only
 from repro.sim.multicore import simulate_pair
-from repro.sim.session import SessionBuilder, SingleCoreStepper, drive
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
-from repro.trace.packed import as_packed
 
 #: Canonical record of session-layer throughput, appended to by
 #: ``repro bench --suite session``.
@@ -64,13 +60,11 @@ class SessionBenchResult:
     fastcache_pinte_records_per_sec: float
     simulate_instructions_per_sec: float
     simulate_pinte_instructions_per_sec: float
-    #: Cycle-synchronised 2-core host, batched schedule (primary+secondary
-    #: retired instructions per second of wall time).
+    #: Cycle-synchronised 2-core host (primary+secondary retired
+    #: instructions per second of wall time).
     multicore_instructions_per_sec: float
     #: The hybrid context: same pair with induced thefts layered on top.
     hybrid_instructions_per_sec: float
-    #: Blocked vs stepwise single-core execution through the session API.
-    blocked_speedup_ratio: float
     repeats: int
     python: str = ""
 
@@ -138,21 +132,6 @@ def run_session_bench(repeats: int = 3, scale: float = 1.0) -> SessionBenchResul
                    + int(result.extra.get("secondary_instructions", 0)))
         return retired / elapsed
 
-    def single_core(blocked: bool) -> float:
-        # Straight through the session API: no hooks, no events — the
-        # configuration where the blocked fast path is legal.
-        session = SessionBuilder(config, seed=BENCH_SEED).build_timing(1)
-        stepper = SingleCoreStepper(session, as_packed(trace_sim),
-                                    blocked=blocked)
-        start = time.perf_counter()
-        drive(session, stepper, warmup=sim_warmup,
-              total=sim_instructions, sample_interval=None)
-        elapsed = time.perf_counter() - start
-        return (sim_warmup + sim_instructions) / elapsed
-
-    blocked_rate = _best_of(repeats, lambda: single_core(True))
-    stepwise_rate = _best_of(repeats, lambda: single_core(False))
-
     return SessionBenchResult(
         fastcache_records_per_sec=_best_of(repeats, lambda: fastcache(None)),
         fastcache_pinte_records_per_sec=_best_of(
@@ -163,7 +142,6 @@ def run_session_bench(repeats: int = 3, scale: float = 1.0) -> SessionBenchResul
         multicore_instructions_per_sec=_best_of(repeats, lambda: pair(None)),
         hybrid_instructions_per_sec=_best_of(
             repeats, lambda: pair(PinteConfig(P_INDUCE, seed=BENCH_SEED))),
-        blocked_speedup_ratio=blocked_rate / stepwise_rate,
         repeats=repeats,
         python=platform.python_version(),
     )

@@ -609,11 +609,10 @@ def _bench_session(args: argparse.Namespace) -> int:
         ("simulate (instr/s)", f"{result.simulate_instructions_per_sec:,.0f}"),
         ("simulate + PInTE (instr/s)",
          f"{result.simulate_pinte_instructions_per_sec:,.0f}"),
-        ("2-core batched (instr/s)",
+        ("2-core pair (instr/s)",
          f"{result.multicore_instructions_per_sec:,.0f}"),
         ("hybrid pair + PInTE (instr/s)",
          f"{result.hybrid_instructions_per_sec:,.0f}"),
-        ("blocked/stepwise speedup", f"{result.blocked_speedup_ratio:.2f}x"),
     ]
     datapath = load_datapath_reference()
     if datapath is not None:

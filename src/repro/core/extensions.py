@@ -18,6 +18,8 @@ with ablation benches comparing them against the paper's baseline design.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.pinte import PInTE
 from repro.dram import Dram
 from repro.util.rng import DeterministicRng
@@ -41,7 +43,8 @@ class PeriodicPinte:
             raise ValueError("period_cycles must be positive")
         self.engine = engine
         self.period_cycles = period_cycles
-        self._next_fire = period_cycles
+        #: First core cycle at which :meth:`maybe_tick` does any work.
+        self.next_due = period_cycles
         self._cursor = 0
         self._rng = DeterministicRng(engine.config.seed, "pinte-periodic")
         self.rounds = 0
@@ -55,8 +58,8 @@ class PeriodicPinte:
         """
         invalidated = 0
         fired_rounds = 0
-        while cycle >= self._next_fire and fired_rounds < 8:
-            self._next_fire += self.period_cycles
+        while cycle >= self.next_due and fired_rounds < 8:
+            self.next_due += self.period_cycles
             fired_rounds += 1
             if self._rng.trigger_ratio() > self.engine.config.p_induce:
                 continue
@@ -91,6 +94,11 @@ class BackgroundDramTraffic:
         self._rng = DeterministicRng(seed, "dram-background")
         self._next_issue = self.interval
         self.requests = 0
+
+    @property
+    def next_due(self) -> int:
+        """First core cycle at which :meth:`advance` does any work."""
+        return math.ceil(self._next_issue)
 
     def advance(self, cycle: int) -> int:
         """Issue all background requests scheduled up to ``cycle``.

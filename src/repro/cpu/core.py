@@ -21,7 +21,6 @@ from repro.trace.packed import (
     FLAG_HAS_STORE,
     FLAG_TAKEN,
 )
-from repro.trace.record import TraceRecord
 
 #: Stores retire through a write buffer; their latency is overlapped far more
 #: aggressively than loads.
@@ -78,7 +77,7 @@ class CoreStats:
 
 
 class Core:
-    """One core: executes trace records against its memory hierarchy."""
+    """One core: retires trace instructions against its memory hierarchy."""
 
     def __init__(self, config: CoreConfig, hierarchy: MemoryHierarchy) -> None:
         self.config = config
@@ -103,134 +102,24 @@ class Core:
             return 0.0
         return self.stats.instructions / self.cycle
 
-    def execute(self, record: TraceRecord) -> None:
-        """Retire one instruction, advancing the core clock."""
-        stats = self.stats
-        cost = self._issue_cost
-        stats.base_cycles += cost
-        hierarchy = self.hierarchy
-        l1_latency = self._l1d_latency
+    def run(self, pcs, loads, stores, flags, start: int, count: int,
+            limit=float("inf")) -> int:
+        """Retire up to ``count`` consecutive instructions from trace columns.
 
-        # Instruction fetch: only when the PC leaves the current block.
-        fetch_block = record.pc >> 6
-        if fetch_block != self._last_fetch_block:
-            self._last_fetch_block = fetch_block
-            fetch_latency = hierarchy.fetch(record.pc, self.cycle)
-            if fetch_latency > self._l1i_latency:
-                stall = fetch_latency - self._l1i_latency
-                cost += stall
-                stats.fetch_stall_cycles += stall
+        The core's one retirement loop: clock, fetch state and statistics
+        are held in locals and flushed back at the end, except ``cycle``,
+        which is written back every time it advances so a live observer
+        (an event trace's ``lambda: core.cycle`` clock) always sees the
+        current cycle. ``loads``/``stores`` entries are meaningful only
+        where the matching ``FLAG_HAS_LOAD``/``FLAG_HAS_STORE`` bit is set.
 
-        if record.load_addr is not None:
-            latency = hierarchy.load(record.pc, record.load_addr, self.cycle)
-            stats.loads += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                if record.dependent:
-                    stall = beyond_l1  # serialised: a true pointer chase
-                else:
-                    stall = beyond_l1 / self._mlp
-                cost += stall
-                stats.load_stall_cycles += stall
-        if record.store_addr is not None:
-            latency = hierarchy.store(record.pc, record.store_addr, self.cycle)
-            stats.stores += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                stall = beyond_l1 / STORE_OVERLAP
-                cost += stall
-                stats.store_stall_cycles += stall
-        if record.is_branch:
-            stats.branches += 1
-            if not self.predictor.update(record.pc, record.taken):
-                cost += self._mispredict_penalty
-                stats.branch_stall_cycles += self._mispredict_penalty
-
-        stats.instructions += 1
-        self._cycle_accumulator += cost
-        # Keep the integer clock (used for DRAM timing) in sync.
-        whole = int(self._cycle_accumulator)
-        if whole:
-            self.cycle += whole
-            self._cycle_accumulator -= whole
-
-    def execute_cols(self, pc: int, load_addr: int, store_addr: int,
-                     flags: int) -> None:
-        """Retire one instruction given trace column values (no record).
-
-        ``load_addr``/``store_addr`` are meaningful only when the matching
-        ``FLAG_HAS_LOAD``/``FLAG_HAS_STORE`` bit is set in ``flags``; the
-        arithmetic is identical to :meth:`execute`, so the two paths
-        produce bit-identical timing for the same stream.
+        Stops right after any instruction that leaves ``self.cycle`` above
+        ``limit`` — the cycle bound schedulers use to hand control back
+        when another core or a clock-driven hook is due. Returns how many
+        instructions were retired.
         """
-        stats = self.stats
-        cost = self._issue_cost
-        stats.base_cycles += cost
-        hierarchy = self.hierarchy
-        l1_latency = self._l1d_latency
-
-        fetch_block = pc >> 6
-        if fetch_block != self._last_fetch_block:
-            self._last_fetch_block = fetch_block
-            fetch_latency = hierarchy.fetch(pc, self.cycle)
-            if fetch_latency > self._l1i_latency:
-                stall = fetch_latency - self._l1i_latency
-                cost += stall
-                stats.fetch_stall_cycles += stall
-
-        if flags & FLAG_HAS_LOAD:
-            latency = hierarchy.load(pc, load_addr, self.cycle)
-            stats.loads += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                if flags & FLAG_DEPENDENT:
-                    stall = beyond_l1  # serialised: a true pointer chase
-                else:
-                    stall = beyond_l1 / self._mlp
-                cost += stall
-                stats.load_stall_cycles += stall
-        if flags & FLAG_HAS_STORE:
-            latency = hierarchy.store(pc, store_addr, self.cycle)
-            stats.stores += 1
-            stats.mem_accesses += 1
-            stats.mem_access_cycles += latency
-            beyond_l1 = latency - l1_latency
-            if beyond_l1 > 0:
-                stall = beyond_l1 / STORE_OVERLAP
-                cost += stall
-                stats.store_stall_cycles += stall
-        if flags & FLAG_BRANCH:
-            stats.branches += 1
-            if not self.predictor.update(pc, bool(flags & FLAG_TAKEN)):
-                cost += self._mispredict_penalty
-                stats.branch_stall_cycles += self._mispredict_penalty
-
-        stats.instructions += 1
-        self._cycle_accumulator += cost
-        whole = int(self._cycle_accumulator)
-        if whole:
-            self.cycle += whole
-            self._cycle_accumulator -= whole
-
-    def execute_block(self, pcs, loads, stores, flags, start: int,
-                      count: int) -> None:
-        """Retire ``count`` consecutive instructions from trace columns.
-
-        The hot-loop fast path behind :func:`repro.sim.simulator.simulate`:
-        one call per block instead of one per instruction, with the core's
-        clock, fetch state and statistics held in locals for the duration
-        and flushed back at the block boundary. Only safe when nothing
-        outside the core needs a per-instruction view of ``self.cycle``
-        (no periodic PInTE / background-DRAM hooks, no event tracing) —
-        callers with such hooks must use :meth:`execute_cols` per
-        instruction. Bit-identical to ``count`` :meth:`execute_cols` calls.
-        """
+        if self.cycle > limit:
+            count = min(count, 1)  # already past the bound: one, then stop
         stats = self.stats
         hierarchy = self.hierarchy
         fetch = hierarchy.fetch
@@ -304,9 +193,12 @@ class Core:
             if whole:
                 cycle += whole
                 accumulator -= whole
+                self.cycle = cycle
+                if cycle > limit:
+                    break
 
+        retired = instructions - stats.instructions
         self._last_fetch_block = last_fetch_block
-        self.cycle = cycle
         self._cycle_accumulator = accumulator
         stats.instructions = instructions
         stats.loads = n_loads
@@ -319,3 +211,13 @@ class Core:
         stats.load_stall_cycles = load_stall_cycles
         stats.store_stall_cycles = store_stall_cycles
         stats.branch_stall_cycles = branch_stall_cycles
+        return retired
+
+    def _removed(self, *args, **kwargs):
+        raise TypeError("Core.execute, Core.execute_cols and "
+                        "Core.execute_block were removed; use Core.run")
+
+    #: Removed names, kept only so tools that look them up by name (the
+    #: per-layer benchmark ledger, ``perfbench/ledger.py``) still find an
+    #: attribute. Calling one raises instead of retiring anything.
+    execute = execute_cols = execute_block = _removed

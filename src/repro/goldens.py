@@ -16,10 +16,14 @@ path reproduces it bit-for-bit. Regenerate the file (only for an
 
 from __future__ import annotations
 
+import hashlib
+from typing import Optional
+
 from repro.config import scaled_config
 from repro.core import PInTE, PinteConfig
 from repro.core.counters import ContentionTracker
 from repro.cache.cache import Cache
+from repro.obs import Observation
 from repro.sim.fastcache import simulate_cache_only
 from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import simulate
@@ -218,6 +222,98 @@ def hybrid_goldens() -> dict:
     return goldens
 
 
+#: Live-clock hook harness. Every hook mode at a gentle and an extreme
+#: rate: ``period_cycles=7`` and ``dram_background_rpkc=400`` are fast
+#: enough that long DRAM stalls hit the 8-round / 64-request catch-up caps.
+HOOK_P_INDUCE = 0.5
+HOOK_WARMUP = 1_000
+HOOK_SIM = 4_000
+HOOK_CONFIGS = {
+    "periodic400": {"trigger": "periodic", "period_cycles": 400},
+    "periodic7": {"trigger": "periodic", "period_cycles": 7},
+    "background8": {"dram_background_rpkc": 8},
+    "background400": {"dram_background_rpkc": 400},
+    "both": {"trigger": "periodic", "period_cycles": 400,
+             "dram_background_rpkc": 8},
+    "both-capped": {"trigger": "periodic", "period_cycles": 7,
+                    "dram_background_rpkc": 400},
+}
+
+
+def _hook_observables(result) -> dict:
+    """Counters a change to hook or clock scheduling could disturb."""
+    return {
+        "instructions": result.instructions,
+        "cycles": result.cycles,
+        "llc_misses": result.llc_misses,
+        "l2_misses": result.l2_misses,
+        "thefts_experienced": result.thefts_experienced,
+        "interference_misses": result.interference_misses,
+        "llc_writeback_fills": result.llc_writeback_fills,
+        "samples": [[_round(value) for value in vars(sample).values()]
+                    for sample in result.samples],
+    }
+
+
+def _events_digest(observe) -> Optional[str]:
+    if observe is None:
+        return None
+    return hashlib.sha256(
+        repr(observe.events.events()).encode()).hexdigest()
+
+
+def hook_goldens() -> dict:
+    """Periodic-trigger / background-DRAM runs, event trace off and on.
+
+    Single-core ``simulate()`` and the 2-core hybrid
+    ``simulate_multiprogrammed()`` under every :data:`HOOK_CONFIGS` entry;
+    with the trace on, a sha256 of the retained events pins their cycle
+    timestamps. The hook extras ``pinte_periodic_rounds`` and
+    ``dram_background_requests`` are deliberately not pinned.
+
+    Captured from the stepwise steppers that ticked the hooks after every
+    primary instruction, so they pin that schedule for every later
+    implementation of it.
+    """
+    config = scaled_config()
+    length = HOOK_WARMUP + HOOK_SIM
+    primary = build_trace(get_workload(MULTICORE_PRIMARY), length,
+                          GOLDEN_SEED, config.llc.size)
+    secondary = build_trace(get_workload(MULTICORE_SECONDARY), length,
+                            GOLDEN_SEED, config.llc.size)
+    goldens = {}
+    for name, knobs in HOOK_CONFIGS.items():
+        pinte = PinteConfig(HOOK_P_INDUCE, seed=GOLDEN_SEED, **knobs)
+        for traced in (False, True):
+            suffix = "events" if traced else "plain"
+            observe = Observation.with_events() if traced else None
+            result = simulate(primary, config, pinte=pinte,
+                              warmup_instructions=HOOK_WARMUP,
+                              sim_instructions=HOOK_SIM, sample_interval=1_000,
+                              seed=GOLDEN_SEED, observe=observe)
+            entry = _hook_observables(result)
+            entry["pinte_triggers"] = int(result.extra["pinte_triggers"])
+            entry["pinte_invalidations"] = int(
+                result.extra["pinte_invalidations"])
+            entry["events_sha256"] = _events_digest(observe)
+            goldens[f"single/{name}/{suffix}"] = entry
+
+            observe = Observation.with_events() if traced else None
+            results = simulate_multiprogrammed(
+                [primary, secondary], config,
+                warmup_instructions=HOOK_WARMUP, sim_instructions=HOOK_SIM,
+                sample_interval=1_000, seed=GOLDEN_SEED, pinte=pinte,
+                observe=observe)
+            entry = {f"core{i}": _hook_observables(r)
+                     for i, r in enumerate(results)}
+            entry["pinte_triggers"] = int(results[0].extra["pinte_triggers"])
+            entry["pinte_invalidations"] = int(
+                results[0].extra["pinte_invalidations"])
+            entry["events_sha256"] = _events_digest(observe)
+            goldens[f"hybrid/{name}/{suffix}"] = entry
+    return goldens
+
+
 def victim_sequence_goldens() -> dict:
     """Exact eviction sequences from a direct Cache(+PInTE) harness.
 
@@ -304,4 +400,5 @@ def capture_all() -> dict:
         "victim_sequences": victim_sequence_goldens(),
         "multicore": multicore_goldens(),
         "hybrid": hybrid_goldens(),
+        "hooks": hook_goldens(),
     }

@@ -22,9 +22,9 @@ single-core PInTE context; periodic and background-DRAM hooks tick on the
 shared (primary) clock.
 
 This host is a thin composition over :mod:`repro.sim.session`:
-:class:`~repro.sim.session.MultiCoreStepper` owns the furthest-behind
-schedule (with a bit-identical batched fast path when no hook needs a live
-clock) and :func:`~repro.sim.session.drive` owns the warm-up / sampling /
+:class:`~repro.sim.session.TimingStepper` owns the furthest-behind
+schedule — the same stepper the single-core host runs with one stream —
+and :func:`~repro.sim.session.drive` owns the warm-up / sampling /
 repartition-epoch cadence shared by every host.
 """
 
@@ -39,8 +39,8 @@ from repro.sim.results import SimulationResult
 from repro.sim.session import (
     ADDRESS_SPACE_STRIDE,
     DEFAULT_SAMPLE_INTERVAL,
-    MultiCoreStepper,
     SessionBuilder,
+    TimingStepper,
     drive,
     finalise_result,
     finish,
@@ -107,7 +107,7 @@ def simulate_multiprogrammed(
 
     total = (sim_instructions if sim_instructions is not None else
              max(0, len(traces[0]) - warmup_instructions))
-    stepper = MultiCoreStepper(session, streams)
+    stepper = TimingStepper(session, streams)
     outcome = drive(session, stepper, warmup=warmup_instructions,
                     total=total, sample_interval=sample_interval)
 

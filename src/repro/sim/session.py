@@ -18,10 +18,10 @@ module is the single authority all of them now compose::
   its per-access / periodic / background-DRAM hooks, partitioner install,
   and event-trace attachment.
 * A **Stepper** advances the machine by a requested amount of work and owns
-  nothing else. :class:`SingleCoreStepper` is the stepwise/blocked chunked
-  execution of the single-core host, :class:`MultiCoreStepper` the
-  cycle-synchronised furthest-behind scheduler of the 2nd-Trace host (with
-  a bit-identical batched fast path), and :class:`AccessReplayStepper` the
+  nothing else. :class:`TimingStepper` is the cycle-synchronised
+  furthest-behind scheduler of every timing host (one stream for the
+  single-core host), built on the core's one cycle-bounded retirement loop
+  :meth:`~repro.cpu.core.Core.run`; :class:`AccessReplayStepper` is the
   cache-only access-replay loop (grouped by :class:`ReplayGroup` for
   multi-owner replay).
 * :func:`drive` owns the one warm-up -> reset -> measured-region cadence:
@@ -33,11 +33,12 @@ module is the single authority all of them now compose::
 Because the three hosts are now thin compositions of these pieces, the
 previously-blocked feature cross-product comes for free: PInTE on the
 multi-programmed host (the hybrid *induced + real* contention context), a
-partitioner on the single-core host, batched scheduling in the multicore
-host when no hook needs a live clock, and multi-owner cache-only replay.
+partitioner on the single-core host, live-clock hooks and event tracing on
+every timing host, and multi-owner cache-only replay.
 
 Every refactored path stays bit-identical to the seed implementations;
-``tests/integration/test_golden_equivalence.py`` pins all 53 configs.
+``tests/integration/test_golden_equivalence.py`` pins all 53 configs, the
+hybrid context and the hook/event-trace schedules.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ __all__ = [
     "DEFAULT_SAMPLE_INTERVAL",
     "AccessReplayStepper",
     "DriveOutcome",
-    "MultiCoreStepper",
     "ReplayGroup",
     "Session",
     "SessionBuilder",
-    "SingleCoreStepper",
+    "TimingStepper",
     "drive",
     "finalise_result",
     "finish",
@@ -192,6 +192,10 @@ class Session:
                 reset_stats(core, hierarchy, self.tracker, owner)
             if self.engine is not None:
                 self.engine.stats = type(self.engine.stats)()
+            if self.periodic is not None:
+                self.periodic.rounds = self.periodic.invalidations = 0
+            if self.background is not None:
+                self.background.requests = 0
             if self.events is not None:
                 # Warm-up events go with the warm-up statistics, so the
                 # trace's per-kind counts stay consistent with the metrics.
@@ -342,100 +346,29 @@ class SessionBuilder:
         )
 
 
-class SingleCoreStepper:
-    """Chunked single-core execution over one packed trace.
-
-    Two bit-identical modes: *stepwise* executes one instruction at a time
-    and ticks the live-clock hooks (periodic PInTE, background DRAM)
-    between instructions; *blocked* batches the core's clock/stat updates
-    via ``Core.execute_block``. Anything needing a live per-instruction
-    view of ``core.cycle`` — the hooks, or event-trace timestamps — forces
-    stepwise; otherwise blocked is chosen automatically. ``blocked`` can be
-    forced (for parity testing) only when nothing needs the live clock.
-    """
-
-    unit = "instructions"
-
-    def __init__(self, session: Session, packed: PackedTrace,
-                 blocked: Optional[bool] = None) -> None:
-        self.core = session.cores[0]
-        self.pcs = packed.pcs
-        self.loads = packed.loads
-        self.stores = packed.stores
-        self.flags = packed.flags
-        self.n_records = len(packed)
-        self.index = 0
-        self.periodic = session.periodic
-        self.background = session.background
-        hooks_active = self.periodic is not None or self.background is not None
-        if blocked is None:
-            blocked = not hooks_active and session.events is None
-        elif blocked and hooks_active:
-            raise ValueError(
-                "blocked execution cannot drive live-clock hooks")
-        elif blocked and session.events is not None:
-            raise ValueError(
-                "blocked execution cannot timestamp an event trace")
-        self.blocked = blocked
-
-    def run(self, count: int) -> int:
-        """Execute ``count`` instructions (wrapping the trace ChampSim-style)."""
-        if count <= 0:
-            return 0
-        core = self.core
-        pcs, loads, stores, flags = self.pcs, self.loads, self.stores, self.flags
-        n_records = self.n_records
-        index = self.index
-        if self.blocked:
-            execute_block = core.execute_block
-            remaining = count
-            while remaining:
-                chunk = min(remaining, n_records - index)
-                execute_block(pcs, loads, stores, flags, index, chunk)
-                remaining -= chunk
-                index += chunk
-                if index == n_records:
-                    index = 0
-        else:
-            execute_cols = core.execute_cols
-            periodic = self.periodic
-            background = self.background
-            for _ in range(count):
-                execute_cols(pcs[index], loads[index], stores[index],
-                             flags[index])
-                index += 1
-                if index == n_records:
-                    index = 0
-                if periodic is not None:
-                    periodic.maybe_tick(core.cycle, 0)
-                if background is not None:
-                    background.advance(core.cycle)
-        self.index = index
-        return count
-
-
-class MultiCoreStepper:
+class TimingStepper:
     """Cycle-synchronised furthest-behind scheduling over N cores.
 
     Each scheduling step advances the core whose clock is furthest behind
     (ties to the lowest id), so a fast core naturally retires more
-    instructions per unit of shared time, exactly like hardware.
-    Non-primary traces restart when exhausted, ChampSim-style.
+    instructions per unit of shared time, exactly like hardware. Non-primary
+    streams restart when exhausted, ChampSim-style; the single-core host is
+    the one-stream case.
 
-    Two bit-identical modes: *stepwise* recomputes the argmin before every
-    instruction (required when live-clock hooks must tick between
-    scheduling steps); *batched* computes the clock bounds once per
-    selection and inner-loops the selected core until its clock violates
-    them — the exact same instruction interleaving with the ``min()``
-    machinery hoisted out of the per-instruction path. Event tracing is
-    safe in either mode because ``execute_cols`` updates ``core.cycle``
-    per instruction.
+    The argmin is computed once per selection and folded into a cycle
+    ``limit`` for :meth:`Core.run`: core ``a`` stays the first-minimal
+    choice while its clock is below every lower-id core's and at most every
+    higher-id core's, i.e. while ``cycle <= min(lower - 1, upper)``. The
+    live-clock hooks (periodic PInTE, background DRAM) are bounds too: the
+    primary also stops once its clock reaches the earliest ``next_due``,
+    and both hooks are ticked after every primary run. Before they are due
+    a tick does nothing, so this is exactly the schedule of re-deciding and
+    ticking after every single instruction.
     """
 
     unit = "instructions"
 
-    def __init__(self, session: Session, streams: List[PackedTrace],
-                 batched: Optional[bool] = None) -> None:
+    def __init__(self, session: Session, streams: List[PackedTrace]) -> None:
         if len(streams) != len(session.cores):
             raise ValueError(
                 f"{len(streams)} streams for {len(session.cores)} cores")
@@ -445,93 +378,80 @@ class MultiCoreStepper:
         self.indices = [0] * len(streams)
         self.periodic = session.periodic
         self.background = session.background
-        hooks_active = self.periodic is not None or self.background is not None
-        if batched is None:
-            batched = not hooks_active
-        elif batched and hooks_active:
-            raise ValueError(
-                "batched scheduling cannot drive live-clock hooks")
-        self.batched = batched
 
     def run(self, count: int) -> int:
         """Schedule until the primary core has retired ``count`` instructions."""
         if count <= 0:
             return 0
-        if self.batched:
-            self._run_batched(count)
-        else:
-            self._run_stepwise(count)
-        return count
-
-    def _run_stepwise(self, count: int) -> None:
         cores = self.cores
-        columns = self.columns
-        indices = self.indices
+        n_cores = len(cores)
+        ids = range(n_cores)
         periodic = self.periodic
         background = self.background
         primary = cores[0]
-        ids = range(len(cores))
-        retired = 0
-        while retired < count:
-            core_id = min(ids, key=lambda i: cores[i].cycle)
-            pcs, loads, stores, flags, n_records = columns[core_id]
-            index = indices[core_id]
-            cores[core_id].execute_cols(pcs[index], loads[index],
-                                        stores[index], flags[index])
-            index += 1
-            indices[core_id] = 0 if index == n_records else index
-            if core_id == 0:
-                retired += 1
-                # The primary clock only moves on primary steps, so hook
-                # opportunities are checked exactly when it advances.
-                if periodic is not None:
-                    periodic.maybe_tick(primary.cycle, 0)
-                if background is not None:
-                    background.advance(primary.cycle)
-
-    def _run_batched(self, count: int) -> None:
-        # Core ``a`` stays the argmin (first-minimal) selection exactly
-        # while cycle_a < cycle_j for all j < a and cycle_a <= cycle_j for
-        # all j > a. Computing those two bounds once per selection and
-        # inner-looping until violated reproduces the stepwise schedule
-        # bit-for-bit without a min() per instruction.
-        cores = self.cores
-        columns = self.columns
-        indices = self.indices
-        n_cores = len(cores)
-        ids = range(n_cores)
         infinity = float("inf")
         retired = 0
         while retired < count:
             core_id = min(ids, key=lambda i: cores[i].cycle)
-            core = cores[core_id]
-            execute_cols = core.execute_cols
-            pcs, loads, stores, flags, n_records = columns[core_id]
-            index = indices[core_id]
             upper = min((cores[j].cycle for j in range(core_id + 1, n_cores)),
                         default=infinity)
-            if core_id == 0:
-                while True:
-                    execute_cols(pcs[index], loads[index], stores[index],
-                                 flags[index])
-                    index += 1
-                    if index == n_records:
-                        index = 0
-                    retired += 1
-                    if retired == count or core.cycle > upper:
-                        break
-            else:
+            if core_id:
                 lower = min(cores[j].cycle for j in range(core_id))
-                while True:
-                    execute_cols(pcs[index], loads[index], stores[index],
-                                 flags[index])
-                    index += 1
-                    if index == n_records:
-                        index = 0
-                    cycle = core.cycle
-                    if cycle >= lower or cycle > upper:
-                        break
-            indices[core_id] = index
+                self._retire(core_id, None, min(lower - 1, upper))
+                continue
+            limit = upper
+            if periodic is not None:
+                limit = min(limit, periodic.next_due - 1)
+            if background is not None:
+                limit = min(limit, background.next_due - 1)
+            retired += self._retire(0, count - retired, limit)
+            if periodic is not None:
+                periodic.maybe_tick(primary.cycle, 0)
+            if background is not None:
+                background.advance(primary.cycle)
+        return count
+
+    def _retire(self, core_id: int, budget: Optional[int], limit) -> int:
+        """Run one core up to ``budget`` instructions (``None``: unbounded)
+        or until its clock passes ``limit``, wrapping its stream."""
+        core = self.cores[core_id]
+        run = core.run
+        pcs, loads, stores, flags, n_records = self.columns[core_id]
+        index = self.indices[core_id]
+        done = 0
+        while True:
+            chunk = n_records - index
+            if budget is not None and budget - done < chunk:
+                chunk = budget - done
+            got = run(pcs, loads, stores, flags, index, chunk, limit)
+            done += got
+            index += got
+            if index == n_records:
+                index = 0
+            # Stop on the clock, not on a short chunk: a run that passes
+            # ``limit`` on the stream's last record is a full chunk too.
+            if done == budget or core.cycle > limit:
+                break
+        self.indices[core_id] = index
+        return done
+
+
+class _RemovedStepper:
+    """Stands in for the removed ``SingleCoreStepper``/``MultiCoreStepper``.
+
+    Kept only so tools that look those names up (the per-layer benchmark
+    ledger, ``perfbench/ledger.py``) still find a class with a ``run``;
+    constructing or running one raises. Use :class:`TimingStepper`.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("SingleCoreStepper and MultiCoreStepper were "
+                        "removed; use TimingStepper")
+
+    run = __init__
+
+
+SingleCoreStepper = MultiCoreStepper = _RemovedStepper
 
 
 class AccessReplayStepper:

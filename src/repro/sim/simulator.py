@@ -8,9 +8,10 @@ context. The 2nd-Trace and hybrid contexts live in
 
 This host is a thin composition over :mod:`repro.sim.session`: a
 :class:`~repro.sim.session.SessionBuilder` assembles the machine, a
-:class:`~repro.sim.session.SingleCoreStepper` owns the stepwise/blocked
-execution, and :func:`~repro.sim.session.drive` owns the warm-up ->
-stats-reset -> measured-region -> sampling cadence shared by every host.
+:class:`~repro.sim.session.TimingStepper` over the one stream owns
+execution (the same stepper the multi-core hosts use), and
+:func:`~repro.sim.session.drive` owns the warm-up -> stats-reset ->
+measured-region -> sampling cadence shared by every host.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.session import (
     DEFAULT_SAMPLE_INTERVAL,
     SessionBuilder,
-    SingleCoreStepper,
+    TimingStepper,
     drive,
     finalise_result,
     finish,
@@ -94,7 +95,7 @@ def simulate(
         session.detach_events()
         raise ValueError(f"trace {trace_name!r} is empty")
 
-    stepper = SingleCoreStepper(session, packed)
+    stepper = TimingStepper(session, [packed])
     outcome = drive(session, stepper, warmup=warmup_instructions,
                     total=total, sample_interval=sample_interval)
 

@@ -172,3 +172,25 @@ class TestSimulatorIntegration:
                           warmup_instructions=2_000, sim_instructions=8_000)
         assert loaded.amat > plain.amat
         assert loaded.extra["dram_background_requests"] > 0
+
+    def test_warmup_does_not_leak_into_hook_extras(self, config):
+        """Regression: the hook counters restart at the warm-up boundary.
+
+        They used to keep the warm-up's rounds and requests, so a
+        one-instruction measured region reported hundreds of both.
+        """
+        from repro.sim import simulate
+        from repro.trace import build_trace, get_workload
+
+        trace = build_trace(get_workload("470.lbm"), 10_000, 3,
+                            config.llc.size)
+        pinte = PinteConfig(0.5, seed=3, trigger="periodic",
+                            period_cycles=400, dram_background_rpkc=5)
+        result = simulate(trace, config, pinte=pinte,
+                          warmup_instructions=8_000, sim_instructions=1,
+                          seed=3)
+        assert result.instructions == 1
+        assert result.cycles < 400
+        assert result.extra["pinte_triggers"] == 0
+        assert result.extra["pinte_periodic_rounds"] == 0
+        assert result.extra["dram_background_requests"] == 0

@@ -28,6 +28,7 @@ FASTCACHE_KEYS = sorted(GOLDEN["fastcache"])
 VICTIM_KEYS = sorted(GOLDEN["victim_sequences"])
 MULTICORE_KEYS = sorted(GOLDEN["multicore"])
 HYBRID_KEYS = sorted(GOLDEN["hybrid"])
+HOOK_KEYS = sorted(GOLDEN["hooks"])
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +54,11 @@ def multicore_capture():
 @pytest.fixture(scope="session")
 def hybrid_capture():
     return goldens.hybrid_goldens()
+
+
+@pytest.fixture(scope="session")
+def hook_capture():
+    return goldens.hook_goldens()
 
 
 class TestMatrixPinned:
@@ -83,6 +89,10 @@ class TestMatrixPinned:
         # Captured separately (from the session-layer implementation that
         # introduced the context), one per replacement policy.
         assert len(HYBRID_KEYS) == 3
+
+    def test_hook_config_count(self):
+        # Six hook configs x {single-core, 2-core hybrid} x {events off, on}.
+        assert len(HOOK_KEYS) == len(goldens.HOOK_CONFIGS) * 4 == 24
 
 
 class TestFullSimEquivalence:
@@ -141,6 +151,23 @@ class TestHybridEquivalence:
 
     def test_no_extra_configs(self, hybrid_capture):
         assert sorted(hybrid_capture) == HYBRID_KEYS
+
+
+class TestHookEquivalence:
+    """Periodic trigger, background DRAM and event-trace timestamps."""
+
+    @pytest.mark.parametrize("key", HOOK_KEYS)
+    def test_config(self, hook_capture, key):
+        assert key in hook_capture, f"capture missing config {key}"
+        expected = GOLDEN["hooks"][key]
+        actual = hook_capture[key]
+        assert sorted(actual) == sorted(expected)
+        for field in expected:
+            assert actual[field] == expected[field], (
+                f"{key}: {field} diverged")
+
+    def test_no_extra_configs(self, hook_capture):
+        assert sorted(hook_capture) == HOOK_KEYS
 
 
 class TestVictimSequenceEquivalence:

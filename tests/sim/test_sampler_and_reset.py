@@ -7,6 +7,7 @@ from repro.core import ContentionTracker
 from repro.cpu import Core
 from repro.sim.simulator import _Sampler, _reset_stats, simulate
 from repro.trace import Trace, TraceRecord, build_trace, get_workload
+from tests.cpu import retire
 
 
 def make_rig(config):
@@ -27,7 +28,7 @@ class TestSampler:
         core, hierarchy, llc, tracker = make_rig(config)
         sampler = _Sampler(core, llc, 0, tracker, interval=1_000)
         for i in range(500):
-            core.execute(TraceRecord(0x400000 + (i % 16) * 4))
+            retire(core, TraceRecord(0x400000 + (i % 16) * 4))
         sampler.sample()
         assert len(sampler.samples) == 1
         assert sampler.samples[0].instructions == 500
@@ -37,7 +38,7 @@ class TestSampler:
         sampler = _Sampler(core, llc, 0, tracker, interval=1_000)
         for round_ in range(3):
             for i in range(1_000):
-                core.execute(TraceRecord(
+                retire(core, TraceRecord(
                     0x400000 + (i % 16) * 4,
                     load_addr=0x100000000 + (round_ * 1_000 + i) * 64))
             sampler.sample()
@@ -50,7 +51,7 @@ class TestSampler:
         core, hierarchy, llc, tracker = make_rig(config)
         sampler = _Sampler(core, llc, 0, tracker, interval=500)
         for i in range(500):
-            core.execute(TraceRecord(0x400000,
+            retire(core, TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 64))
         sampler.sample()
         sample = sampler.samples[0]
@@ -119,7 +120,7 @@ class TestResetStats:
     def test_counters_cleared_state_kept(self, config):
         core, hierarchy, llc, tracker = make_rig(config)
         for i in range(64):
-            core.execute(TraceRecord(0x400000,
+            retire(core, TraceRecord(0x400000,
                                      load_addr=0x100000000 + i * 64))
         occupancy_before = llc.occupancy()
         _reset_stats(core, hierarchy, tracker, 0)
@@ -135,7 +136,7 @@ class TestResetStats:
         core, hierarchy, llc, tracker = make_rig(config)
         for _ in range(3):
             for i in range(32):
-                core.execute(TraceRecord(0x400000,
+                retire(core, TraceRecord(0x400000,
                                          load_addr=0x100000000 + i * 4096))
         _reset_stats(core, hierarchy, tracker, 0)
         assert sum(llc.reuse_histogram) == 0

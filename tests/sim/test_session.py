@@ -1,37 +1,84 @@
 """Tests for the unified simulation-session core.
 
-The session layer promises two things the hosts rely on:
+Every timing host runs one stepper, :class:`TimingStepper`, which folds the
+furthest-behind argmin and the live-clock hooks (periodic PInTE,
+background DRAM) into cycle limits for ``Core.run``. These tests check it
+against a deliberately naive reference scheduler kept here on the test
+side: one instruction per scheduling step, the argmin recomputed before
+every instruction and the hooks ticked after every primary instruction.
 
-* *parity* — blocked single-core execution and batched multicore
-  scheduling are pure mechanical optimisations, bit-identical to their
-  stepwise forms for every configuration where they are legal;
-* *legality* — anything that needs a live per-instruction clock (the
-  periodic PInTE trigger, background DRAM traffic, event timestamps)
-  refuses the fast path loudly instead of silently drifting.
-
-The parity checks are seeded property tests: random workload / policy /
-PInTE / budget combinations, each run through both modes and compared on
-every counter a scheduling change could disturb.
+The checks are seeded property tests: random workload / policy / PInTE /
+hook / event-trace / budget combinations, each run through both schedulers
+and compared on every counter a scheduling change could disturb.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.config import scaled_config
 from repro.core import PinteConfig
+from repro.obs import Observation
 from repro.sim.multicore import simulate_multiprogrammed, simulate_pair
 from repro.sim.session import (
-    MultiCoreStepper,
+    ADDRESS_SPACE_STRIDE,
     SessionBuilder,
-    SingleCoreStepper,
+    TimingStepper,
     drive,
 )
 from repro.trace import build_trace, get_workload
-from repro.trace.packed import as_packed
+from repro.trace.packed import PackedTrace, as_packed
 
 WORKLOADS = ("470.lbm", "429.mcf", "435.gromacs")
 POLICIES = ("lru", "rrip", "plru")
+#: PInTE knobs beyond ``p_induce``: no hook, each hook at a gentle and an
+#: extreme rate (the extreme ones hit the hooks' catch-up caps), and both.
+HOOKS = (
+    {},
+    {"trigger": "periodic", "period_cycles": 400},
+    {"trigger": "periodic", "period_cycles": 7},
+    {"dram_background_rpkc": 8},
+    {"dram_background_rpkc": 400},
+    {"trigger": "periodic", "period_cycles": 150, "dram_background_rpkc": 20},
+)
+
+
+class ReferenceStepper:
+    """The furthest-behind schedule at its most literal.
+
+    Before every instruction the core with the smallest clock (ties to the
+    lowest id) is chosen and retires exactly one instruction; after every
+    primary instruction both live-clock hooks are ticked.
+    """
+
+    unit = "instructions"
+
+    def __init__(self, session, streams):
+        self.cores = session.cores
+        self.streams = streams
+        self.indices = [0] * len(streams)
+        self.periodic = session.periodic
+        self.background = session.background
+
+    def run(self, count):
+        cores = self.cores
+        primary = cores[0]
+        retired = 0
+        while retired < count:
+            core_id = min(range(len(cores)), key=lambda i: cores[i].cycle)
+            stream = self.streams[core_id]
+            index = self.indices[core_id]
+            cores[core_id].run(stream.pcs, stream.loads, stream.stores,
+                               stream.flags, index, 1)
+            self.indices[core_id] = (index + 1) % len(stream)
+            if core_id == 0:
+                retired += 1
+                if self.periodic is not None:
+                    self.periodic.maybe_tick(primary.cycle, 0)
+                if self.background is not None:
+                    self.background.advance(primary.cycle)
+        return count
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +87,21 @@ def traces(config):
             for name in WORKLOADS}
 
 
-def _observables(session):
+@pytest.fixture(scope="module")
+def short_traces(config):
+    """Streams shorter than every run that uses them, so the primary and
+    the secondaries wrap again and again: povray retires ~100 instructions
+    per mcf one, and a memory-bound mcf secondary makes a wrongly scheduled
+    instruction show in the shared LLC."""
+    def packed(name, length):
+        return as_packed(build_trace(get_workload(name), length, 11,
+                                     config.llc.size))
+    return {"primary": packed("429.mcf", 1_200),
+            "453.povray": packed("453.povray", 1_500),
+            "429.mcf": packed("429.mcf", 1_500)}
+
+
+def _observables(session, observe):
     """Every counter a scheduling change could disturb, all cores."""
     per_core = []
     for owner, (core, hierarchy) in enumerate(zip(session.cores,
@@ -54,129 +115,197 @@ def _observables(session):
         ))
     llc = session.llc
     engine = session.engine
+    periodic = session.periodic
+    background = session.background
+    dram = session.dram.stats
+    events = (hashlib.sha256(repr(observe.events.events()).encode())
+              .hexdigest() if observe is not None else None)
     return (tuple(per_core), llc.stats.hits, llc.stats.misses,
             llc.stats.writebacks, tuple(llc.reuse_histogram),
+            engine.stats.triggers if engine else 0,
             engine.stats.invalidations if engine else 0,
-            engine._rng.draws if engine else 0)
+            engine._rng.draws if engine else 0,
+            (periodic.rounds, periodic.invalidations) if periodic else None,
+            background.requests if background else None,
+            (dram.reads, dram.writes, dram.row_hits), events)
+
+
+def _run(stepper_class, config, streams, pinte, warmup, sim, traced=False,
+         partitioner=False):
+    builder = SessionBuilder(config, seed=5).with_pinte(pinte)
+    if partitioner:
+        from repro.cache.partition import make_partitioner
+        n_ways = config.llc.assoc
+        n_sets = config.llc.size // (n_ways * config.block_size)
+        builder.with_partitioner(
+            make_partitioner("ucp", n_sets, n_ways,
+                             owners=list(range(len(streams))), sampling=4),
+            repartition_interval=2_000)
+    observe = Observation.with_events() if traced else None
+    session = builder.with_observation(observe).build_timing(len(streams))
+    drive(session, stepper_class(session, streams), warmup=warmup,
+          total=sim, sample_interval=1_000)
+    session.detach_events()
+    return _observables(session, observe)
+
+
+def _random_pinte(rng):
+    p = rng.choice((None, 0.1, 0.5))
+    hooks = rng.choice(HOOKS)
+    if p is None and not hooks:
+        return None, "isolation"
+    pinte = PinteConfig(p if p is not None else 0.3,
+                        seed=rng.randrange(100), **hooks)
+    return pinte, f"p={pinte.p_induce}/{hooks}"
 
 
 class TestSingleCoreParity:
-    def _run(self, config, trace, pinte, warmup, sim, blocked):
-        session = (SessionBuilder(config, seed=5)
-                   .with_pinte(pinte)
-                   .build_timing(1))
-        stepper = SingleCoreStepper(session, as_packed(trace),
-                                    blocked=blocked)
-        drive(session, stepper, warmup=warmup, total=sim,
-              sample_interval=1_000)
-        return _observables(session)
-
-    def test_blocked_matches_stepwise_randomised(self, traces):
-        """Seeded property test: random config combos, both modes agree."""
+    def test_matches_reference_randomised(self, traces):
+        """One stream: the production stepper equals the reference."""
         rng = random.Random(0xB10C)
         for case in range(8):
             workload = rng.choice(WORKLOADS)
             policy = rng.choice(POLICIES)
-            p = rng.choice((None, 0.1, 0.5))
-            pinte = PinteConfig(p, seed=rng.randrange(100)) if p else None
+            pinte, knobs = _random_pinte(rng)
+            traced = rng.random() < 0.5
             warmup = rng.choice((0, 500, 1_700))
             sim = rng.randrange(2_000, 6_000)
             config = scaled_config().with_llc_policy(policy)
-            label = f"case {case}: {workload}/{policy}/p={p}/{warmup}+{sim}"
-            blocked = self._run(config, traces[workload], pinte,
-                                warmup, sim, blocked=True)
-            stepwise = self._run(config, traces[workload], pinte,
-                                 warmup, sim, blocked=False)
-            assert blocked == stepwise, label
+            label = (f"case {case}: {workload}/{policy}/{knobs}/"
+                     f"events={traced}/{warmup}+{sim}")
+            streams = [as_packed(traces[workload])]
+            production = _run(TimingStepper, config, streams, pinte,
+                              warmup, sim, traced=traced)
+            reference = _run(ReferenceStepper, config, streams, pinte,
+                             warmup, sim, traced=traced)
+            assert production == reference, label
 
-    def test_blocked_is_the_default_without_hooks(self, config, traces):
-        session = SessionBuilder(config, seed=5).build_timing(1)
-        stepper = SingleCoreStepper(session, as_packed(traces["470.lbm"]))
-        assert stepper.blocked
 
-    def test_periodic_hook_forces_stepwise(self, config, traces):
-        pinte = PinteConfig(0.3, seed=1, trigger="periodic")
-        session = (SessionBuilder(config, seed=5)
-                   .with_pinte(pinte)
-                   .build_timing(1))
-        stepper = SingleCoreStepper(session, as_packed(traces["470.lbm"]))
-        assert not stepper.blocked
-        with pytest.raises(ValueError, match="live-clock hooks"):
-            SingleCoreStepper(session, as_packed(traces["470.lbm"]),
-                              blocked=True)
-
-    def test_event_trace_forces_stepwise(self, config, traces):
-        from repro.obs import Observation
-        observe = Observation.with_events()
-        session = (SessionBuilder(config, seed=5)
-                   .with_observation(observe)
-                   .build_timing(1))
-        stepper = SingleCoreStepper(session, as_packed(traces["470.lbm"]))
-        assert not stepper.blocked
-        with pytest.raises(ValueError, match="event trace"):
-            SingleCoreStepper(session, as_packed(traces["470.lbm"]),
-                              blocked=True)
-        session.detach_events()
+    @pytest.mark.parametrize("hooks", HOOKS)
+    def test_wrapping_stream_matches_reference(self, short_traces, hooks):
+        """A primary stream far shorter than the run wraps at every
+        scheduling distance from a cycle limit."""
+        pinte = PinteConfig(0.3, seed=7, **hooks) if hooks else None
+        streams = [short_traces["primary"]]
+        for traced in (False, True):
+            production = _run(TimingStepper, scaled_config(), streams, pinte,
+                              500, 3_500, traced=traced)
+            reference = _run(ReferenceStepper, scaled_config(), streams,
+                             pinte, 500, 3_500, traced=traced)
+            assert production == reference, f"events={traced}"
 
 
 class TestMultiCoreParity:
-    def _run(self, config, streams, pinte, warmup, sim, batched,
-             partitioner=False):
-        builder = SessionBuilder(config, seed=5).with_pinte(pinte)
-        if partitioner:
-            from repro.cache.partition import make_partitioner
-            n_ways = config.llc.assoc
-            n_sets = config.llc.size // (n_ways * config.block_size)
-            builder.with_partitioner(
-                make_partitioner("ucp", n_sets, n_ways,
-                                 owners=list(range(len(streams))),
-                                 sampling=4),
-                repartition_interval=2_000)
-        session = builder.build_timing(len(streams))
-        stepper = MultiCoreStepper(session, streams, batched=batched)
-        drive(session, stepper, warmup=warmup, total=sim,
-              sample_interval=1_000)
-        return _observables(session)
-
-    def test_batched_matches_stepwise_randomised(self, traces):
-        """Random pair/triple mixes: the hoisted-min schedule is identical."""
+    def test_matches_reference_randomised(self, traces):
+        """Random pair/triple mixes, hooks on the primary clock."""
         rng = random.Random(0x5E55)
-        for case in range(6):
+        for case in range(8):
             names = rng.sample(WORKLOADS, rng.choice((2, 2, 3)))
             policy = rng.choice(POLICIES)
-            p = rng.choice((None, 0.2))
-            pinte = PinteConfig(p, seed=rng.randrange(100)) if p else None
+            pinte, knobs = _random_pinte(rng)
+            traced = rng.random() < 0.5
             partitioner = rng.random() < 0.4
             warmup = rng.choice((0, 800))
             sim = rng.randrange(2_000, 5_000)
             config = scaled_config().with_llc_policy(policy)
-            from repro.sim.session import ADDRESS_SPACE_STRIDE
             streams = [
                 as_packed(traces[name]).offset(i * ADDRESS_SPACE_STRIDE)
                 for i, name in enumerate(names)]
-            label = f"case {case}: {names}/{policy}/p={p}/{warmup}+{sim}"
-            batched = self._run(config, streams, pinte, warmup, sim,
-                                batched=True, partitioner=partitioner)
-            stepwise = self._run(config, streams, pinte, warmup, sim,
-                                 batched=False, partitioner=partitioner)
-            assert batched == stepwise, label
+            label = (f"case {case}: {names}/{policy}/{knobs}/"
+                     f"events={traced}/ucp={partitioner}/{warmup}+{sim}")
+            production = _run(TimingStepper, config, streams, pinte, warmup,
+                              sim, traced=traced, partitioner=partitioner)
+            reference = _run(ReferenceStepper, config, streams, pinte, warmup,
+                             sim, traced=traced, partitioner=partitioner)
+            assert production == reference, label
 
-    def test_hooks_force_stepwise(self, config, traces):
-        pinte = PinteConfig(0.3, seed=1, trigger="periodic")
-        session = (SessionBuilder(config, seed=5)
-                   .with_pinte(pinte)
-                   .build_timing(2))
-        streams = [as_packed(traces["470.lbm"]),
-                   as_packed(traces["429.mcf"])]
-        stepper = MultiCoreStepper(session, streams)
-        assert not stepper.batched
-        with pytest.raises(ValueError, match="live-clock hooks"):
-            MultiCoreStepper(session, streams, batched=True)
+    @pytest.mark.parametrize("hooks", HOOKS)
+    @pytest.mark.parametrize("secondary", ("453.povray", "429.mcf"))
+    def test_wrapping_streams_match_reference(self, short_traces, secondary,
+                                              hooks):
+        """Short streams on both cores, so both wrap many times."""
+        pinte = PinteConfig(0.3, seed=7, **hooks) if hooks else None
+        streams = [short_traces["primary"],
+                   short_traces[secondary].offset(ADDRESS_SPACE_STRIDE)]
+        for traced in (False, True):
+            production = _run(TimingStepper, scaled_config(), streams, pinte,
+                              300, 2_000, traced=traced)
+            reference = _run(ReferenceStepper, scaled_config(), streams,
+                             pinte, 300, 2_000, traced=traced)
+            assert production == reference, f"events={traced}"
 
     def test_stream_count_must_match_cores(self, config, traces):
         session = SessionBuilder(config, seed=5).build_timing(2)
         with pytest.raises(ValueError, match="streams for"):
-            MultiCoreStepper(session, [as_packed(traces["470.lbm"])])
+            TimingStepper(session, [as_packed(traces["470.lbm"])])
+
+
+class TestCoreRun:
+    """The cycle limit of the one retirement loop."""
+
+    def _core(self, config):
+        session = SessionBuilder(config, seed=5).build_timing(1)
+        return session.cores[0]
+
+    def test_stops_right_after_passing_limit(self, config, traces):
+        stream = as_packed(traces["429.mcf"])
+        core = self._core(config)
+        columns = (stream.pcs, stream.loads, stream.stores, stream.flags)
+        retired = core.run(*columns, 0, 2_000, 500)
+        assert 0 < retired < 2_000
+        assert core.cycle > 500
+        assert core.stats.instructions == retired
+        # One instruction fewer would have stayed within the limit.
+        again = self._core(config)
+        again.run(*columns, 0, retired - 1)
+        assert again.cycle <= 500
+
+    def test_past_the_limit_retires_exactly_one(self, config, traces):
+        stream = as_packed(traces["429.mcf"])
+        core = self._core(config)
+        columns = (stream.pcs, stream.loads, stream.stores, stream.flags)
+        core.run(*columns, 0, 1_000)
+        assert core.run(*columns, 1_000, 1_000, core.cycle - 1) == 1
+
+
+    def test_limit_crossed_on_the_last_record(self, config, short_traces):
+        """Passing ``limit`` on a stream's last record ends the stepper's
+        run: the index wraps to 0 and nothing more is retired."""
+        stream = short_traces["primary"]
+        columns = (stream.pcs, stream.loads, stream.stores, stream.flags)
+        probe = self._core(config)
+        cycles = []
+        for index in range(len(stream)):
+            probe.run(*columns, index, 1)
+            cycles.append(probe.cycle)
+        # The longest prefix whose last instruction advances the clock.
+        n = max(i + 1 for i in range(1, len(cycles))
+                if cycles[i] > cycles[i - 1])
+        prefix = PackedTrace.from_records(stream.records[:n])
+        # Unbounded (how secondaries run) and with budget to spare.
+        for budget in (None, n + 5):
+            session = SessionBuilder(config, seed=5).build_timing(1)
+            stepper = TimingStepper(session, [prefix])
+            assert stepper._retire(0, budget, cycles[n - 2]) == n
+            assert stepper.indices == [0]
+            assert session.cores[0].cycle == cycles[n - 1]
+
+
+class TestRemovedNames:
+    """The old retirement and stepper names fail loudly when used."""
+
+    def test_core_execute_raises(self, config):
+        core = SessionBuilder(config, seed=5).build_timing(1).cores[0]
+        for name in ("execute", "execute_cols", "execute_block"):
+            with pytest.raises(TypeError, match="use Core.run"):
+                getattr(core, name)(None)
+
+    def test_old_steppers_raise(self, config):
+        from repro.sim import session as sess
+        built = SessionBuilder(config, seed=5).build_timing(1)
+        for cls in (sess.SingleCoreStepper, sess.MultiCoreStepper):
+            with pytest.raises(TypeError, match="use TimingStepper"):
+                cls(built, [])
 
 
 class TestHybridContext:
