@@ -14,7 +14,13 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core import PAPER_PINDUCE_SWEEP
-from repro.experiments import CORE_SUITE, build_contexts
+from repro.experiments import CORE_SUITE
+from repro.experiments.registry import (
+    PlanContext,
+    bundle_from_results,
+    execute_plan,
+    plan_union,
+)
 from repro.sim import ExperimentScale
 
 #: Scale used by the bench campaign (the scaled stand-in for the paper's
@@ -42,13 +48,11 @@ def bench_scale():
 @pytest.fixture(scope="session")
 def bench_bundle(bench_config):
     """The main campaign: 16 workloads x (1 iso + 12 PInTE + 4 pairs)."""
-    return build_contexts(
-        CORE_SUITE,
-        bench_config,
-        BENCH_SCALE,
-        p_values=PAPER_PINDUCE_SWEEP,
-        panel_size=4,
-    )
+    ctx = PlanContext(config=bench_config, scale=BENCH_SCALE,
+                      suite=CORE_SUITE, p_values=PAPER_PINDUCE_SWEEP,
+                      panel_size=4)
+    outcome = execute_plan(plan_union(["table1"], ctx))
+    return bundle_from_results(ctx, outcome.results)
 
 
 @pytest.fixture(scope="session")

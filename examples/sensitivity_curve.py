@@ -21,7 +21,9 @@ import sys
 
 from repro import PAPER_PINDUCE_SWEEP, scaled_config
 from repro.analysis import classify, contention_curve, extract_features
-from repro.sim import ExperimentScale, TraceLibrary, run_isolation, run_pinte_sweep
+from repro.experiments.plan import execute_jobs
+from repro.experiments.registry import PlanContext, bundle_from_results, plan_bundle
+from repro.sim import ExperimentScale
 
 DEFAULT_WORKLOADS = ["470.lbm", "605.mcf", "435.gromacs", "453.povray"]
 SCALE = ExperimentScale(warmup_instructions=10_000, sim_instructions=40_000,
@@ -38,19 +40,18 @@ def ascii_curve(curve: dict, width: int = 40) -> str:
 
 def main() -> None:
     names = sys.argv[1:] or DEFAULT_WORKLOADS
-    config = scaled_config()
-    library = TraceLibrary(config, SCALE)
-
-    print("running isolation context...")
-    isolation = run_isolation(names, config, SCALE, library=library)
-    print(f"sweeping {len(PAPER_PINDUCE_SWEEP)} P_induce configurations "
-          f"per workload...")
-    sweep = run_pinte_sweep(names, config, SCALE, library=library)
+    # Isolation plus the sweep: the shared bundle plan without 2nd-Trace pairs.
+    ctx = PlanContext(config=scaled_config(), scale=SCALE, suite=names,
+                      p_values=PAPER_PINDUCE_SWEEP, panel_size=0)
+    print(f"running isolation and {len(PAPER_PINDUCE_SWEEP)} P_induce "
+          f"configurations per workload...")
+    bundle = bundle_from_results(ctx, execute_jobs(plan_bundle(ctx)))
 
     for name in names:
-        results = list(sweep[name].values())
-        curve = contention_curve(results, isolation[name].ipc)
-        report = classify(name, results, isolation[name])
+        results = bundle.pinte_results(name)
+        isolation = bundle.isolation[name]
+        curve = contention_curve(results, isolation.ipc)
+        report = classify(name, results, isolation)
         print(f"\n=== {name} ===")
         print(ascii_curve(curve))
         if len(curve) >= 2:

@@ -38,7 +38,9 @@ def main() -> None:
           f"{len(payload['victim_sequences'])} victim-sequence, "
           f"{len(payload['multicore'])} multicore, "
           f"{len(payload['hybrid'])} hybrid, "
-          f"{len(payload['hooks'])} hook goldens)")
+          f"{len(payload['hooks'])} hook goldens, "
+          f"{len(payload['reports']['artifacts'])} artifact and "
+          f"{len(payload['reports']['studies'])} study reports)")
 
 
 if __name__ == "__main__":

@@ -57,9 +57,6 @@ from repro.sim import (
     SimulationResult,
     TEST_SCALE,
     TraceLibrary,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
     simulate,
     simulate_pair,
 )
@@ -98,9 +95,6 @@ __all__ = [
     "get_workload",
     "kl_divergence",
     "relative_error",
-    "run_isolation",
-    "run_pairs",
-    "run_pinte_sweep",
     "scaled_config",
     "series_kl",
     "simulate",

@@ -128,7 +128,7 @@ class JobFailure:
 
 
 class CampaignError(RuntimeError):
-    """Raised only when ``raise_on_failure=True`` (the ``run_batch`` shim)."""
+    """Raised only when ``raise_on_failure=True``, after the campaign ends."""
 
     def __init__(self, failures: Sequence[JobFailure]) -> None:
         self.failures = list(failures)

@@ -61,7 +61,7 @@ from repro.configio import load_machine_config, machine_to_dict, machine_to_toml
 from repro.configs import get_machine_config, iter_registries
 from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, TraceLibrary, simulate, simulate_pair
+from repro.sim import ExperimentScale, simulate, simulate_pair
 from repro.trace import (
     SPEC_WORKLOADS,
     build_trace,
@@ -287,28 +287,27 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep`` — P_induce sweep + sensitivity class per workload."""
+    from repro.experiments.plan import execute_jobs
+    from repro.experiments.registry import (
+        PlanContext,
+        bundle_from_results,
+        plan_bundle,
+    )
+
     config = _resolve_machine(args)
     scale = ExperimentScale(warmup_instructions=args.warmup,
                             sim_instructions=args.instructions,
                             sample_interval=max(1, args.instructions // 10),
                             seed=args.seed)
-    library = TraceLibrary(config, scale)
     p_values = (tuple(args.p_induce) if args.p_induce
                 else PAPER_PINDUCE_SWEEP)
+    # Isolation plus the sweep is a bundle without 2nd-Trace panels.
+    ctx = PlanContext(config=config, scale=scale, suite=args.workloads,
+                      p_values=p_values, panel_size=0)
+    bundle = bundle_from_results(ctx, execute_jobs(plan_bundle(ctx)))
     for name in args.workloads:
-        trace = library.get(name)
-        isolation = simulate(trace, config,
-                             warmup_instructions=scale.warmup_instructions,
-                             sim_instructions=scale.sim_instructions,
-                             sample_interval=scale.sample_interval,
-                             seed=scale.seed)
-        results = [
-            simulate(trace, config, pinte=PinteConfig(p, seed=scale.seed),
-                     warmup_instructions=scale.warmup_instructions,
-                     sim_instructions=scale.sim_instructions,
-                     sample_interval=scale.sample_interval, seed=scale.seed)
-            for p in p_values
-        ]
+        isolation = bundle.isolation[name]
+        results = [bundle.pinte[name][p] for p in p_values]
         rows = [
             (f"{r.p_induce:.3f}", f"{r.ipc / isolation.ipc:.3f}",
              f"{r.miss_rate:.3f}", f"{r.amat:.1f}",

@@ -1,8 +1,10 @@
 """Experiment drivers: one module per paper table/figure.
 
 Most drivers consume a shared :class:`~repro.experiments.contexts.ContextBundle`
-(isolation + PInTE sweep + 2nd-Trace panel over one suite); Fig 3, 10 and 11
-run their own campaigns. Every driver exposes ``run_*`` returning a result
+(isolation + PInTE sweep + 2nd-Trace panel over one suite); Fig 3, 10, 11
+and the n-core and partitioning studies plan their own jobs. Either way
+every job runs through :func:`repro.experiments.plan.execute_plan` and the
+campaign engine. Every driver exposes ``run_*`` returning a result
 dataclass and ``format_report`` rendering the paper-style rows/series.
 """
 
@@ -22,11 +24,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.contexts import (
-    ContextBundle,
-    DEFAULT_PANEL_SIZE,
-    build_contexts,
-)
+from repro.experiments.contexts import ContextBundle
 from repro.experiments.suites import (
     CASE_STUDY_SUITE,
     CORE_SUITE,
@@ -42,13 +40,11 @@ __all__ = [
     "CASE_STUDY_SUITE",
     "CORE_SUITE",
     "ContextBundle",
-    "DEFAULT_PANEL_SIZE",
     "FIG10_SUITE",
     "FIG5_WORKLOADS",
     "FULL_SUITE",
     "QUICK_SUITE",
     "ablations",
-    "build_contexts",
     "fig1",
     "ncore_study",
     "partition_study",

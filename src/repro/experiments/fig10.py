@@ -14,24 +14,25 @@ x-axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.analysis.occupancy import mean_change_in_occupancy
 from repro.config import MachineConfig, xeon_config
+from repro.experiments.plan import (
+    PlannedJob,
+    ResultMap,
+    execute_jobs,
+    panel_pair_job,
+)
 from repro.experiments.reporting import format_table
 from repro.experiments.suites import FIG10_SUITE
-from repro.sim import (
-    ExperimentScale,
-    SimulationResult,
-    TraceLibrary,
-    adversary_panel,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
-)
+from repro.sim import ExperimentScale, SimulationResult, adversary_panel
+from repro.sim.batch import Job
 
 #: Reduced sweep for the Fig 10 bench (six points across the range).
 FIG10_PINDUCE = (0.02, 0.05, 0.15, 0.35, 0.6, 1.0)
+#: 2nd-Trace panel size of the Fig 10 scatter.
+FIG10_PANEL_SIZE = 3
 
 
 @dataclass
@@ -79,42 +80,60 @@ def _percent_change(results: Sequence[SimulationResult]) -> List[float]:
     return [100.0 * (r.ipc / baseline - 1.0) for r in results]
 
 
-def allocation_fraction_for(config: MachineConfig) -> float:
-    """The RDT-style LLC allocation fraction of one machine config."""
-    return (config.llc_way_allocation or config.llc.assoc) / config.llc.assoc
+def _sweep_job(name: str, p: float) -> Job:
+    return Job(name, mode="pinte", p_induce=p)
 
 
-def points_from_results(
+def plan_fig10(
     names: Sequence[str],
-    sweep: Dict[str, Dict[float, SimulationResult]],
-    pairs_by_name: Dict[str, List[SimulationResult]],
-    allocation_fraction: float,
-) -> Fig10Result:
-    """Build the scatter from raw results (shared with the registry).
+    config: MachineConfig,
+    scale: ExperimentScale,
+    p_values: Sequence[float] = FIG10_PINDUCE,
+    panel_size: int = FIG10_PANEL_SIZE,
+) -> List[PlannedJob]:
+    """The PInTE sweep of every benchmark, then each one's pair panel."""
+    jobs = [_sweep_job(name, p) for name in names for p in p_values]
+    jobs.extend(panel_pair_job(name, other, scale)
+                for name in names
+                for other in adversary_panel(name, names, panel_size))
+    return [PlannedJob(job, config, scale) for job in jobs]
 
-    ``sweep`` maps benchmark -> P_induce -> PInTE result;
-    ``pairs_by_name`` maps benchmark -> 2nd-Trace results in panel order.
+
+def fig10_from_results(
+    results: ResultMap,
+    names: Sequence[str],
+    config: MachineConfig,
+    scale: ExperimentScale,
+    p_values: Sequence[float] = FIG10_PINDUCE,
+    panel_size: int = FIG10_PANEL_SIZE,
+) -> Fig10Result:
+    """Both scatters from :func:`plan_fig10`'s results.
+
+    The real side plots the Eq. 6 change in occupancy of each pair, the
+    PInTE side the interference rate of each sweep point; both against
+    the % change in IPC from the benchmark's best run.
     """
+    allocation = ((config.llc_way_allocation or config.llc.assoc)
+                  / config.llc.assoc)
     real_points: Dict[str, List[Fig10Point]] = {}
     pinte_points: Dict[str, List[Fig10Point]] = {}
     for name in names:
-        ordered_pairs = pairs_by_name[name]
-        changes = _percent_change(ordered_pairs)
+        pairs = [results.for_job(panel_pair_job(name, other, scale), config,
+                                 scale)
+                 for other in adversary_panel(name, names, panel_size)]
         real_points[name] = [
-            Fig10Point(
-                x=mean_change_in_occupancy([result], allocation_fraction),
-                ipc_change_percent=change,
-            )
-            for result, change in zip(ordered_pairs, changes)
+            Fig10Point(x=mean_change_in_occupancy([result], allocation),
+                       ipc_change_percent=change)
+            for result, change in zip(pairs, _percent_change(pairs))
         ]
-        pinte_results = list(sweep[name].values())
-        changes = _percent_change(pinte_results)
+        sweep = [results.for_job(_sweep_job(name, p), config, scale)
+                 for p in p_values]
         pinte_points[name] = [
             Fig10Point(x=result.interference_rate, ipc_change_percent=change)
-            for result, change in zip(pinte_results, changes)
+            for result, change in zip(sweep, _percent_change(sweep))
         ]
     return Fig10Result(real_points=real_points, pinte_points=pinte_points,
-                       allocation_fraction=allocation_fraction)
+                       allocation_fraction=allocation)
 
 
 def run_fig10(
@@ -122,24 +141,16 @@ def run_fig10(
     config: MachineConfig = None,
     scale: ExperimentScale = None,
     p_values: Sequence[float] = FIG10_PINDUCE,
-    panel_size: int = 3,
+    panel_size: int = FIG10_PANEL_SIZE,
 ) -> Fig10Result:
     """Run the xeon-config 2nd-Trace proxy against the PInTE sweep."""
     config = config if config is not None else xeon_config()
     scale = scale if scale is not None else ExperimentScale()
     names = list(names)
-    library = TraceLibrary(config, scale)
-
-    sweep = run_pinte_sweep(names, config, scale, p_values=p_values,
-                            library=library)
-    pairs_by_name: Dict[str, List[SimulationResult]] = {}
-    for name in names:
-        panel = adversary_panel(name, names, panel_size)
-        pair_keys: List[Tuple[str, str]] = [(name, other) for other in panel]
-        pair_results = run_pairs(pair_keys, config, scale, library=library)
-        pairs_by_name[name] = [pair_results[key] for key in pair_keys]
-    return points_from_results(names, sweep, pairs_by_name,
-                               allocation_fraction_for(config))
+    results = execute_jobs(plan_fig10(names, config, scale, p_values,
+                                      panel_size))
+    return fig10_from_results(results, names, config, scale, p_values,
+                              panel_size)
 
 
 def format_report(result: Fig10Result) -> str:

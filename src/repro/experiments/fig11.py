@@ -21,11 +21,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.configs import DESIGN_DIMENSIONS
-from repro.core import PinteConfig
+from repro.experiments.plan import PlannedJob, ResultMap, execute_jobs
 from repro.experiments.reporting import format_table, percent
 from repro.experiments.suites import CASE_STUDY_SUITE
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary
-from repro.sim.simulator import simulate
+from repro.sim import ExperimentScale, SimulationResult
+from repro.sim.batch import Job
 
 #: Contention sweep for the case study; includes the paper's 7.5% and 70%
 #: break-points.
@@ -113,11 +113,7 @@ def sweep_from_results(
     p_values: Tuple[float, ...],
     workloads: Tuple[str, ...],
 ) -> DimensionSweep:
-    """Rank one dimension's options from ``results[p][option][workload]``.
-
-    Shared by the serial :func:`run_fig11` driver and the artifact
-    registry's aggregate phase.
-    """
+    """Rank one dimension's options from ``results[p][option][workload]``."""
     win_share: Dict[float, Dict[str, float]] = {}
     tie_share: Dict[float, float] = {}
     primary: Dict[float, Dict[str, float]] = {}
@@ -159,6 +155,57 @@ def sweep_from_results(
     )
 
 
+def _case_job(name: str, p: float) -> Job:
+    """Isolation at ``p = 0``, a PInTE run otherwise."""
+    if p > 0:
+        return Job(name, mode="pinte", p_induce=p)
+    return Job(name)
+
+
+def plan_fig11(
+    config: MachineConfig,
+    scale: ExperimentScale,
+    workloads: Sequence[str] = tuple(CASE_STUDY_SUITE),
+    p_values: Sequence[float] = FIG11_PINDUCE,
+    dimensions: Sequence[Dimension] = DIMENSIONS,
+) -> List[PlannedJob]:
+    """Every (dimension option, workload, P_induce) run, each on its
+    option's machine variant."""
+    return [PlannedJob(_case_job(name, p), dimension.configure(config, option),
+                       scale)
+            for dimension in dimensions
+            for option in dimension.options
+            for name in workloads
+            for p in p_values]
+
+
+def fig11_from_results(
+    results: ResultMap,
+    config: MachineConfig,
+    scale: ExperimentScale,
+    workloads: Sequence[str] = tuple(CASE_STUDY_SUITE),
+    p_values: Sequence[float] = FIG11_PINDUCE,
+    dimensions: Sequence[Dimension] = DIMENSIONS,
+) -> Fig11Result:
+    """Rebuild ``results[p][option][workload]`` per dimension and rank."""
+    workloads = tuple(workloads)
+    p_values = tuple(p_values)
+    sweeps: Dict[str, DimensionSweep] = {}
+    for dimension in dimensions:
+        by_p: Dict[float, Dict[str, Dict[str, SimulationResult]]] = {
+            p: {option: {} for option in dimension.options} for p in p_values
+        }
+        for option in dimension.options:
+            variant = dimension.configure(config, option)
+            for name in workloads:
+                for p in p_values:
+                    by_p[p][option][name] = results.for_job(
+                        _case_job(name, p), variant, scale)
+        sweeps[dimension.name] = sweep_from_results(dimension, by_p,
+                                                    p_values, workloads)
+    return Fig11Result(sweeps=sweeps, p_values=p_values, workloads=workloads)
+
+
 def run_fig11(
     config: MachineConfig,
     scale: ExperimentScale,
@@ -167,32 +214,10 @@ def run_fig11(
     dimensions: Sequence[Dimension] = DIMENSIONS,
 ) -> Fig11Result:
     """Sweep P_induce and rank the design options at each contention level."""
-    workloads = tuple(workloads)
-    p_values = tuple(p_values)
-    sweeps: Dict[str, DimensionSweep] = {}
-    for dimension in dimensions:
-        # results[p][option][workload] -> SimulationResult
-        results: Dict[float, Dict[str, Dict[str, SimulationResult]]] = {
-            p: {option: {} for option in dimension.options} for p in p_values
-        }
-        for option in dimension.options:
-            variant = dimension.configure(config, option)
-            library = TraceLibrary(variant, scale)
-            for name in workloads:
-                trace = library.get(name)
-                for p in p_values:
-                    results[p][option][name] = simulate(
-                        trace, variant,
-                        pinte=PinteConfig(p_induce=p, seed=scale.seed) if p > 0
-                        else None,
-                        warmup_instructions=scale.warmup_instructions,
-                        sim_instructions=scale.sim_instructions,
-                        sample_interval=scale.sample_interval,
-                        seed=scale.seed,
-                    )
-        sweeps[dimension.name] = sweep_from_results(dimension, results,
-                                                    p_values, workloads)
-    return Fig11Result(sweeps=sweeps, p_values=p_values, workloads=workloads)
+    results = execute_jobs(plan_fig11(config, scale, workloads, p_values,
+                                      dimensions))
+    return fig11_from_results(results, config, scale, workloads, p_values,
+                              dimensions)
 
 
 def format_report(result: Fig11Result) -> str:

@@ -14,8 +14,10 @@ from typing import Dict, List, Sequence
 from repro.analysis.stability import median, normalised_std_dev
 from repro.config import MachineConfig
 from repro.core import PAPER_PINDUCE_SWEEP
+from repro.experiments.plan import PlannedJob, ResultMap, execute_jobs
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, TraceLibrary, run_pinte_sweep
+from repro.sim import ExperimentScale
+from repro.sim.batch import Job
 
 
 @dataclass
@@ -46,19 +48,42 @@ class Fig3Result:
 METRICS = ("miss_rate", "ipc")
 
 
-def stability_from_repeats(
-    repeats: Sequence[Dict[str, Dict[float, object]]],
-    names: Sequence[str],
-    p_values: Sequence[float],
-) -> Fig3Result:
-    """Aggregate ``repeats[k][name][p] -> result`` into a :class:`Fig3Result`.
+#: PInTE seed base for repeat ``k`` (``1000 + k``).
+REPEAT_SEED_BASE = 1000
 
-    Shared by the serial :func:`run_fig3` driver and the artifact
-    registry's aggregate phase, so both produce identical statistics.
-    """
-    if len(repeats) < 2:
+
+def _repeat_job(name: str, p: float, k: int) -> Job:
+    """One stability run: fixed trace, per-repeat PInTE stream."""
+    return Job(name, mode="pinte", p_induce=p,
+               pinte_seed=REPEAT_SEED_BASE + k)
+
+
+def plan_fig3(
+    names: Sequence[str],
+    config: MachineConfig,
+    scale: ExperimentScale,
+    p_values: Sequence[float] = PAPER_PINDUCE_SWEEP,
+    n_repeats: int = 5,
+) -> List[PlannedJob]:
+    """The repeat matrix: repeats x names x sweep, one PInTE job each."""
+    if n_repeats < 2:
         raise ValueError("stability needs at least two repeats")
-    n_repeats = len(repeats)
+    return [PlannedJob(_repeat_job(name, p, k), config, scale)
+            for k in range(n_repeats)
+            for name in names
+            for p in p_values]
+
+
+def fig3_from_results(
+    results: ResultMap,
+    names: Sequence[str],
+    config: MachineConfig,
+    scale: ExperimentScale,
+    p_values: Sequence[float] = PAPER_PINDUCE_SWEEP,
+    n_repeats: int = 5,
+) -> Fig3Result:
+    """Normalised spread (Eq. 3) of every (name, P_induce) cell of
+    :func:`plan_fig3` across its repeats."""
     per_benchmark: Dict[str, Dict[str, List[float]]] = {
         name: {metric: [] for metric in METRICS} for name in names
     }
@@ -67,9 +92,10 @@ def stability_from_repeats(
     }
     for name in names:
         for p in p_values:
+            runs = [results.for_job(_repeat_job(name, p, k), config, scale)
+                    for k in range(n_repeats)]
             for metric in METRICS:
-                values = [getattr(repeats[k][name][p], metric)
-                          for k in range(n_repeats)]
+                values = [getattr(run, metric) for run in runs]
                 mean = sum(values) / len(values)
                 if mean == 0:
                     spread = 0.0
@@ -81,10 +107,6 @@ def stability_from_repeats(
                       n_repeats=n_repeats)
 
 
-#: PInTE seed base for repeat ``k`` (``1000 + k``), shared with the registry.
-REPEAT_SEED_BASE = 1000
-
-
 def run_fig3(
     names: Sequence[str],
     config: MachineConfig,
@@ -93,16 +115,10 @@ def run_fig3(
     n_repeats: int = 5,
 ) -> Fig3Result:
     """Repeat the PInTE sweep ``n_repeats`` times with distinct seeds."""
-    if n_repeats < 2:
-        raise ValueError("stability needs at least two repeats")
-    library = TraceLibrary(config, scale)
-    # repeats[k][name][p] -> result
-    repeats = [
-        run_pinte_sweep(names, config, scale, p_values=p_values,
-                        library=library, pinte_seed=REPEAT_SEED_BASE + k)
-        for k in range(n_repeats)
-    ]
-    return stability_from_repeats(repeats, names, p_values)
+    results = execute_jobs(plan_fig3(names, config, scale, p_values,
+                                     n_repeats))
+    return fig3_from_results(results, names, config, scale, p_values,
+                             n_repeats)
 
 
 def format_report(result: Fig3Result) -> str:

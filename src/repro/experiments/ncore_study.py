@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.config import MachineConfig
-from repro.core import PinteConfig
+from repro.experiments.plan import PlannedJob, ResultMap, execute_jobs
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary, simulate
-from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim import ExperimentScale, SimulationResult
+from repro.sim.batch import Job
 
 #: Victim measured throughout; adversaries appended per core count.
 DEFAULT_VICTIM = "450.soplex"
@@ -48,6 +48,49 @@ class NcoreResult:
         return sum(costs) / len(costs)
 
 
+def _corun_job(victim: str, adversaries: Sequence[str], extra: int) -> Job:
+    """The (1 + extra)-core co-run; co-runner i's trace seed is
+    ``scale.seed + 1 + i``."""
+    return Job(victim, mode="multi", co_runners=tuple(adversaries[:extra]))
+
+
+def _pinte_job(victim: str, p: float) -> Job:
+    return Job(victim, mode="pinte", p_induce=p)
+
+
+def plan_ncore_study(
+    config: MachineConfig,
+    scale: ExperimentScale,
+    victim: str = DEFAULT_VICTIM,
+    adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
+    p_values: Sequence[float] = DEFAULT_PINDUCE,
+) -> List[PlannedJob]:
+    """The 2..N-core co-runs, then the victim's single-core PInTE sweep."""
+    jobs = [_corun_job(victim, adversaries, extra)
+            for extra in range(1, len(adversaries) + 1)]
+    jobs.extend(_pinte_job(victim, p) for p in p_values)
+    return [PlannedJob(job, config, scale) for job in jobs]
+
+
+def ncore_from_results(
+    results: ResultMap,
+    config: MachineConfig,
+    scale: ExperimentScale,
+    victim: str = DEFAULT_VICTIM,
+    adversaries: Sequence[str] = DEFAULT_ADVERSARIES,
+    p_values: Sequence[float] = DEFAULT_PINDUCE,
+) -> NcoreResult:
+    """Key :func:`plan_ncore_study`'s results by core count and P_induce."""
+    by_cores = {
+        extra + 1: results.for_job(_corun_job(victim, adversaries, extra),
+                                   config, scale)
+        for extra in range(1, len(adversaries) + 1)
+    }
+    pinte = {p: results.for_job(_pinte_job(victim, p), config, scale)
+             for p in p_values}
+    return NcoreResult(victim=victim, by_cores=by_cores, pinte=pinte)
+
+
 def run_ncore_study(
     config: MachineConfig,
     scale: ExperimentScale,
@@ -56,30 +99,10 @@ def run_ncore_study(
     p_values: Sequence[float] = DEFAULT_PINDUCE,
 ) -> NcoreResult:
     """Measure contention coverage and wall-clock cost as core count grows."""
-    library = TraceLibrary(config, scale)
-    victim_trace = library.get(victim)
-    adversary_traces = [
-        library.get(name, seed=scale.seed + 1 + i)
-        for i, name in enumerate(adversaries)
-    ]
-    by_cores: Dict[int, SimulationResult] = {}
-    for extra in range(1, len(adversary_traces) + 1):
-        traces = [victim_trace] + adversary_traces[:extra]
-        results = simulate_multiprogrammed(
-            traces, config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval, seed=scale.seed,
-        )
-        by_cores[extra + 1] = results[0]
-    pinte = {
-        p: simulate(victim_trace, config, pinte=PinteConfig(p, seed=scale.seed),
-                    warmup_instructions=scale.warmup_instructions,
-                    sim_instructions=scale.sim_instructions,
-                    sample_interval=scale.sample_interval, seed=scale.seed)
-        for p in p_values
-    }
-    return NcoreResult(victim=victim, by_cores=by_cores, pinte=pinte)
+    results = execute_jobs(plan_ncore_study(config, scale, victim,
+                                            adversaries, p_values))
+    return ncore_from_results(results, config, scale, victim, adversaries,
+                              p_values)
 
 
 def format_report(result: NcoreResult) -> str:

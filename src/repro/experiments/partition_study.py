@@ -11,19 +11,14 @@ thefts, per-workload weighted IPC, and system throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.throughput import throughput_report
-from repro.cache.partition import (
-    CashtPartitioner,
-    Partitioner,
-    StaticPartitioner,
-    UcpPartitioner,
-)
 from repro.config import MachineConfig
+from repro.experiments.plan import PlannedJob, ResultMap, execute_jobs
 from repro.experiments.reporting import format_table
-from repro.sim import ExperimentScale, SimulationResult, TraceLibrary, simulate
-from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim import ExperimentScale, SimulationResult
+from repro.sim.batch import Job
 
 #: Default victim/aggressor pair: an LLC-bound workload with real reuse vs a
 #: streaming cache-flooder.
@@ -62,19 +57,70 @@ class PartitionStudyResult:
         return self.outcomes[scheme]
 
 
-def _make_partitioner(scheme: str, config: MachineConfig) -> Optional[Partitioner]:
-    n_ways = config.llc.assoc
-    n_sets = config.llc.size // (n_ways * config.block_size)
-    owners = [0, 1]
-    if scheme == "shared":
-        return None
-    if scheme == "static":
-        return StaticPartitioner(n_ways, owners)
-    if scheme == "ucp":
-        return UcpPartitioner(n_sets, n_ways, owners, sampling=4)
-    if scheme == "casht":
-        return CashtPartitioner(n_ways, owners)
-    raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+def _jobs(
+    scale: ExperimentScale,
+    workloads: Tuple[str, str],
+    schemes: Sequence[str],
+    repartition_interval: int,
+) -> Tuple[Job, Job, Dict[str, Job]]:
+    """Both isolation baselines plus one shared co-run per scheme.
+
+    The aggressor runs on the shifted-seed trace (``scale.seed + 1``) it
+    gets as a co-runner, and its isolation baseline pins that seed too.
+    """
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+    victim, aggressor = workloads
+    co_runs = {
+        scheme: Job(victim, mode="multi", co_runners=(aggressor,),
+                    scheme=scheme, repartition_interval=repartition_interval)
+        for scheme in schemes
+    }
+    return (Job(victim), Job(aggressor, trace_seed=scale.seed + 1), co_runs)
+
+
+def plan_partition_study(
+    config: MachineConfig,
+    scale: ExperimentScale,
+    workloads: Tuple[str, str] = DEFAULT_PAIR,
+    schemes: Sequence[str] = SCHEMES,
+    repartition_interval: int = 4_000,
+) -> List[PlannedJob]:
+    """Plan the isolation baselines plus one co-run per scheme."""
+    iso_victim, iso_aggressor, co_runs = _jobs(scale, workloads, schemes,
+                                               repartition_interval)
+    return [PlannedJob(job, config, scale)
+            for job in (iso_victim, iso_aggressor, *co_runs.values())]
+
+
+def partition_from_results(
+    results: ResultMap,
+    config: MachineConfig,
+    scale: ExperimentScale,
+    workloads: Tuple[str, str] = DEFAULT_PAIR,
+    schemes: Sequence[str] = SCHEMES,
+    repartition_interval: int = 4_000,
+) -> PartitionStudyResult:
+    """Per-scheme outcomes from :func:`plan_partition_study`'s results.
+
+    Each co-run's final partition quotas come home in its ``extra``.
+    """
+    iso_victim, iso_aggressor, co_runs = _jobs(scale, workloads, schemes,
+                                               repartition_interval)
+    isolations = [results.for_job(iso_victim, config, scale),
+                  results.for_job(iso_aggressor, config, scale)]
+    outcomes: Dict[str, SchemeOutcome] = {}
+    for scheme, job in co_runs.items():
+        primary = results.for_job(job, config, scale)
+        quotas = {
+            int(key.rsplit("_", 1)[1]): int(value)
+            for key, value in primary.extra.items()
+            if key.startswith("partition_quota_")
+        }
+        outcomes[scheme] = outcome_from_results(
+            scheme, [primary] + list(primary.co_results), isolations, quotas)
+    return PartitionStudyResult(workloads=tuple(workloads), outcomes=outcomes)
 
 
 def run_partition_study(
@@ -85,32 +131,10 @@ def run_partition_study(
     repartition_interval: int = 4_000,
 ) -> PartitionStudyResult:
     """Run the victim/aggressor pair under each partitioning scheme."""
-    library = TraceLibrary(config, scale)
-    victim = library.get(workloads[0])
-    aggressor = library.get(workloads[1], seed=scale.seed + 1)
-    isolations = [
-        simulate(trace, config, warmup_instructions=scale.warmup_instructions,
-                 sim_instructions=scale.sim_instructions,
-                 sample_interval=scale.sample_interval, seed=scale.seed)
-        for trace in (victim, aggressor)
-    ]
-
-    outcomes: Dict[str, SchemeOutcome] = {}
-    for scheme in schemes:
-        partitioner = _make_partitioner(scheme, config)
-        results = simulate_multiprogrammed(
-            [victim, aggressor], config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval, seed=scale.seed,
-            partitioner=partitioner,
-            repartition_interval=repartition_interval,
-        )
-        outcomes[scheme] = outcome_from_results(
-            scheme, results, isolations,
-            final_quotas=(partitioner.allocate() if partitioner else {}),
-        )
-    return PartitionStudyResult(workloads=workloads, outcomes=outcomes)
+    results = execute_jobs(plan_partition_study(
+        config, scale, workloads, schemes, repartition_interval))
+    return partition_from_results(results, config, scale, workloads, schemes,
+                                  repartition_interval)
 
 
 def outcome_from_results(
@@ -119,11 +143,7 @@ def outcome_from_results(
     isolations: List[SimulationResult],
     final_quotas: Dict[int, int],
 ) -> SchemeOutcome:
-    """Build one scheme's outcome from its per-core and isolation results.
-
-    Shared by the serial :func:`run_partition_study` driver and the
-    artifact registry's aggregate phase.
-    """
+    """Build one scheme's outcome from its per-core and isolation results."""
     throughput = throughput_report(results, isolations)
     for core, (shared, alone) in enumerate(zip(results, isolations)):
         results[core].extra[f"wipc_core{core}"] = shared.ipc / alone.ipc

@@ -8,16 +8,18 @@ an :class:`Artifact` with three pure-ish phases —
   needs (**no simulation happens here**; a plan is just jobs plus the
   machine/scale each runs under);
 * ``aggregate(ctx, results) -> result object`` — reconstruct the
-  artifact's result dataclass from campaign results, byte-identical to
-  what the serial ``run_*`` driver computes;
-* ``render(result) -> str`` — the driver's existing ``format_report``.
+  artifact's result dataclass from campaign results;
+* ``render(result) -> str`` — the driver's ``format_report``.
 
-Between plan and aggregate sits :func:`execute_plan`, which routes every
-job — including the formerly standalone ``simulate()`` loops of Fig 3/10/11
-and the n-core/partitioning studies — through the fault-tolerant campaign
-engine (:mod:`repro.campaign`), so every artifact gains retries, timeouts,
-sharding, the shared trace cache, a persistent :class:`ResultStore` and
-resume for free.
+The bundle artifacts share :func:`plan_bundle` and
+:func:`bundle_from_results`; each standalone study (Fig 3/10/11, the
+n-core and partitioning studies) owns its plan and aggregation in its
+own module, and its artifact only binds :class:`PlanContext` to them.
+Between plan and aggregate sits :func:`~repro.experiments.plan.execute_plan`,
+the one route every experiment job takes through the fault-tolerant
+campaign engine (:mod:`repro.campaign`), so every artifact gets retries,
+timeouts, sharding, the shared trace cache, a persistent result store
+and resume.
 
 :func:`plan_union` exploits the deterministic job ids of
 :mod:`repro.campaign.ids`: jobs requested by several artifacts (isolation
@@ -28,14 +30,9 @@ every consumer through the id-keyed :class:`ResultMap`.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.campaign.engine import CampaignReport, RetryPolicy, run_campaign
-from repro.campaign.ids import job_id
-from repro.campaign.store import ResultStore
 from repro.config import MachineConfig
 from repro.configs import get_machine_config
 from repro.core import PAPER_PINDUCE_SWEEP
@@ -55,10 +52,18 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.contexts import ContextBundle
-from repro.experiments.suites import CASE_STUDY_SUITE, FIG10_SUITE
+from repro.experiments.plan import (
+    ExecutionOutcome,
+    PlannedJob,
+    ResultMap,
+    UnionPlan,
+    execute_plan,
+    panel_pair_job,
+    unique_jobs,
+)
+from repro.experiments.suites import FIG10_SUITE
 from repro.sim import ExperimentScale, SimulationResult, adversary_panel
 from repro.sim.batch import Job
-from repro.trace.store import MemoryTraceStore
 
 __all__ = [
     "Artifact",
@@ -98,58 +103,6 @@ class PlanContext:
     def __post_init__(self) -> None:
         object.__setattr__(self, "suite", tuple(self.suite))
         object.__setattr__(self, "p_values", tuple(self.p_values))
-
-
-@dataclass(frozen=True)
-class PlannedJob:
-    """One job plus the machine/scale it runs under.
-
-    Artifacts may plan jobs on *different* machine configs (Fig 11 sweeps
-    config variants; Fig 10 uses the xeon config), so the pair travels
-    with the job — and is hashed into :attr:`id`, which is what makes the
-    union planner's dedup sound across configs.
-    """
-
-    job: Job
-    config: MachineConfig
-    scale: ExperimentScale
-
-    @property
-    def id(self) -> str:
-        """The deterministic campaign id this job will execute under."""
-        return job_id(self.job, self.config, self.scale)
-
-
-class ResultMap:
-    """Campaign results keyed by deterministic job id."""
-
-    def __init__(self, results_by_id: Dict[str, SimulationResult]) -> None:
-        self._by_id = dict(results_by_id)
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, jid: str) -> bool:
-        return jid in self._by_id
-
-    def for_id(self, jid: str) -> SimulationResult:
-        """The result stored under one job id."""
-        try:
-            return self._by_id[jid]
-        except KeyError:
-            raise KeyError(
-                f"no result for job id {jid}; the campaign holds "
-                f"{len(self._by_id)} results — was the plan fully "
-                "executed (check the failure manifest)?") from None
-
-    def for_job(self, job: Job, config: MachineConfig,
-                scale: ExperimentScale) -> SimulationResult:
-        """The result of one (job, config, scale) — id computed here."""
-        return self.for_id(job_id(job, config, scale))
-
-    def get(self, planned: PlannedJob) -> SimulationResult:
-        """The result of one planned job."""
-        return self.for_id(planned.id)
 
 
 @dataclass(frozen=True)
@@ -194,173 +147,16 @@ def artifact_names() -> List[str]:
 
 
 # --------------------------------------------------------------------------
-# Union planning and campaign-engine execution
+# Union planning
 # --------------------------------------------------------------------------
-
-@dataclass
-class UnionPlan:
-    """Deduplicated union of several artifacts' plans.
-
-    ``unique`` keeps first-occurrence order, so execution order is stable
-    and resume skips a well-defined prefix.
-    """
-
-    artifacts: Tuple[str, ...]
-    per_artifact: Dict[str, List[PlannedJob]]
-    unique: List[PlannedJob]
-
-    @property
-    def planned_total(self) -> int:
-        """Sum of per-artifact plan sizes (jobs *requested*)."""
-        return sum(len(planned) for planned in self.per_artifact.values())
-
-    @property
-    def unique_total(self) -> int:
-        """Jobs that will actually execute."""
-        return len(self.unique)
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Requested jobs per executed job (> 1 means sharing paid off)."""
-        if not self.unique:
-            return 1.0
-        return self.planned_total / self.unique_total
-
 
 def plan_union(names: Sequence[str], ctx: PlanContext) -> UnionPlan:
     """Plan every named artifact and deduplicate across them by job id."""
-    per_artifact: Dict[str, List[PlannedJob]] = {}
-    unique: List[PlannedJob] = []
-    seen = set()
-    for name in names:
-        planned = get_artifact(name).plan(ctx)
-        per_artifact[name] = planned
-        for item in planned:
-            jid = item.id
-            if jid not in seen:
-                seen.add(jid)
-                unique.append(item)
+    per_artifact = {name: get_artifact(name).plan(ctx) for name in names}
+    unique = unique_jobs(item for planned in per_artifact.values()
+                         for item in planned)
     return UnionPlan(artifacts=tuple(names), per_artifact=per_artifact,
                      unique=unique)
-
-
-@dataclass
-class ExecutionOutcome:
-    """Results plus the per-context campaign reports behind them."""
-
-    results: ResultMap
-    reports: List[CampaignReport]
-
-    @property
-    def executed(self) -> int:
-        """Jobs actually simulated in this invocation."""
-        return sum(report.executed for report in self.reports)
-
-    @property
-    def skipped(self) -> int:
-        """Jobs served from the result store (resume)."""
-        return sum(report.skipped for report in self.reports)
-
-    @property
-    def failed(self) -> int:
-        """Jobs that exhausted their retries."""
-        return sum(report.failed for report in self.reports)
-
-    @property
-    def ok(self) -> bool:
-        """True when every campaign pass completed every job."""
-        return all(report.ok for report in self.reports)
-
-
-def _context_key(config: MachineConfig, scale: ExperimentScale) -> str:
-    """Canonical grouping key for one (machine, scale) execution context."""
-    return json.dumps(
-        {"machine": dataclasses.asdict(config),
-         "scale": dataclasses.asdict(scale)},
-        sort_keys=True, separators=(",", ":"))
-
-
-def execute_plan(
-    plan: UnionPlan,
-    *,
-    processes: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    timeout_seconds: Optional[float] = None,
-    store=None,
-    resume: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    trace_store=None,
-    observe=None,
-    progress=None,
-    inject: Optional[str] = None,
-    raise_on_failure: bool = True,
-    executor: Optional[str] = None,
-) -> ExecutionOutcome:
-    """Execute a union plan through the campaign engine.
-
-    Jobs are grouped by (machine config, scale) — one
-    :func:`~repro.campaign.run_campaign` pass per context — and every
-    pass shares one ``store`` (a path or
-    :class:`~repro.campaign.store.ResultStore`), so a single JSONL file
-    holds the whole reproduction and ``resume=True`` skips every job id
-    it already contains. ``processes`` defaults to 1 (inline execution);
-    inline runs without an explicit ``trace_store`` share an in-process
-    :class:`~repro.trace.store.MemoryTraceStore` so each input trace is
-    built once per invocation, like the serial drivers' shared
-    ``TraceLibrary``.
-
-    ``inject`` names a fault workload (``raise``/``exit``/``hang``/
-    ``flaky:N+name`` — the ``__fault:`` prefix is added if missing) that
-    is inserted at the midpoint of the first context group, for
-    resumability drills. ``shard=(i, n)`` partitions each context group
-    deterministically across machines. ``executor`` selects the parallel
-    scheduler (``pool``/``spawn``, see
-    :func:`repro.campaign.run_campaign`) for every context group.
-    """
-    processes = 1 if processes is None else processes
-    if trace_store is None and timeout_seconds is None and processes <= 1:
-        trace_store = MemoryTraceStore()
-
-    groups: Dict[str, Tuple[MachineConfig, ExperimentScale, List[Job]]] = {}
-    for item in plan.unique:
-        key = _context_key(item.config, item.scale)
-        if key not in groups:
-            groups[key] = (item.config, item.scale, [])
-        groups[key][2].append(item.job)
-
-    result_store: Optional[ResultStore] = None
-    if store is not None:
-        result_store = (store if isinstance(store, ResultStore)
-                        else ResultStore(store))
-
-    results_by_id: Dict[str, SimulationResult] = {}
-    reports: List[CampaignReport] = []
-    for index, (config, scale, jobs) in enumerate(groups.values()):
-        jobs = list(jobs)
-        if inject is not None and index == 0:
-            fault = (inject if inject.startswith("__fault:")
-                     else f"__fault:{inject}")
-            jobs.insert(len(jobs) // 2, Job(fault))
-        report = run_campaign(
-            jobs, config, scale,
-            processes=processes,
-            retry=retry,
-            timeout_seconds=timeout_seconds,
-            store=result_store,
-            # Later groups append to the store the first group created;
-            # ids cannot collide across contexts, so this is safe.
-            resume=(resume if index == 0 else result_store is not None),
-            shard=shard,
-            observe=observe,
-            progress=progress,
-            raise_on_failure=raise_on_failure,
-            trace_store=trace_store,
-            executor=executor,
-        )
-        reports.append(report)
-        results_by_id.update(report.results_by_id)
-    return ExecutionOutcome(results=ResultMap(results_by_id),
-                            reports=reports)
 
 
 # --------------------------------------------------------------------------
@@ -368,14 +164,8 @@ def execute_plan(
 # --------------------------------------------------------------------------
 
 def plan_bundle(ctx: PlanContext) -> List[PlannedJob]:
-    """The shared three-context campaign every bundle artifact consumes.
-
-    Job list and trace seeds mirror
-    :func:`repro.experiments.contexts.build_contexts` exactly (pair jobs
-    pin ``co_seed=scale.seed``, like the serial shared ``TraceLibrary``),
-    so aggregation reconstructs a bit-identical
-    :class:`~repro.experiments.contexts.ContextBundle`.
-    """
+    """The shared three-context campaign every bundle artifact consumes:
+    isolation runs, then the PInTE sweep, then the 2nd-Trace panels."""
     names = list(ctx.suite)
     jobs: List[Job] = [Job(name) for name in names]
     for name in names:
@@ -384,14 +174,18 @@ def plan_bundle(ctx: PlanContext) -> List[PlannedJob]:
     if ctx.panel_size > 0:
         for name in names:
             panel = adversary_panel(name, names, ctx.panel_size)
-            jobs.extend(Job(name, mode="pair", co_runner=other,
-                            co_seed=ctx.scale.seed) for other in panel)
+            jobs.extend(panel_pair_job(name, other, ctx.scale)
+                        for other in panel)
     return [PlannedJob(job, ctx.config, ctx.scale) for job in jobs]
 
 
 def bundle_from_results(ctx: PlanContext,
                         results: ResultMap) -> ContextBundle:
-    """Reassemble the :class:`ContextBundle` from campaign results."""
+    """Assemble the :class:`ContextBundle` of :func:`plan_bundle`'s results.
+
+    Bundles are built only here; with ``ctx.panel_size == 0`` the bundle
+    has no pairs.
+    """
     names = list(ctx.suite)
 
     def res(job: Job) -> SimulationResult:
@@ -407,8 +201,7 @@ def bundle_from_results(ctx: PlanContext,
     if ctx.panel_size > 0:
         for name in names:
             panel = adversary_panel(name, names, ctx.panel_size)
-            pairs[name] = [res(Job(name, mode="pair", co_runner=other,
-                                   co_seed=ctx.scale.seed))
+            pairs[name] = [res(panel_pair_job(name, other, ctx.scale))
                            for other in panel]
     return ContextBundle(config=ctx.config, scale=ctx.scale, names=names,
                          isolation=isolation, pinte=pinte, pairs=pairs)
@@ -454,263 +247,55 @@ _bundle_artifact("fig9", "Fig 9: AMAT under contention",
 
 
 # --------------------------------------------------------------------------
-# Fig 3 — PInTE stability repeats
+# Standalone studies — each module's own plan, bound to the context
 # --------------------------------------------------------------------------
 
-#: Repeats at reproduction scale (the paper runs 25).
+def _study_artifact(name: str, title: str, plan: Callable,
+                    from_results: Callable, render: Callable,
+                    params: Callable[[PlanContext], dict]) -> Artifact:
+    """Register one study; ``params(ctx)`` gives the keyword arguments its
+    ``plan`` and ``from_results`` both take."""
+    return register(Artifact(
+        name=name, title=title,
+        plan=lambda ctx: plan(**params(ctx)),
+        aggregate=lambda ctx, results: from_results(results, **params(ctx)),
+        render=render))
+
+
+#: Fig 3 repeats at reproduction scale (the paper runs 25).
 FIG3_REPEATS = 3
 
 
-def _fig3_params(ctx: PlanContext) -> Tuple[List[str], Tuple[float, ...]]:
-    """Fig 3's reduced suite/sweep, as ``run_reproduction`` always ran it."""
-    names = list(ctx.suite)[:4]
-    p_values = tuple(ctx.p_values[::3]) or tuple(ctx.p_values)
-    return names, p_values
+def _fig3_params(ctx: PlanContext) -> dict:
+    """Fig 3's reduced suite and sweep."""
+    return dict(names=list(ctx.suite)[:4], config=ctx.config,
+                scale=ctx.scale,
+                p_values=tuple(ctx.p_values[::3]) or tuple(ctx.p_values),
+                n_repeats=FIG3_REPEATS)
 
 
-def _fig3_job(name: str, p: float, k: int) -> Job:
-    """One stability run: fixed trace, per-repeat PInTE stream."""
-    return Job(name, mode="pinte", p_induce=p,
-               pinte_seed=fig3.REPEAT_SEED_BASE + k)
+def _machine_params(ctx: PlanContext) -> dict:
+    """The context's machine and scale; everything else at its default."""
+    return dict(config=ctx.config, scale=ctx.scale)
 
 
-def _plan_fig3(ctx: PlanContext) -> List[PlannedJob]:
-    """Plan the repeat matrix (repeats x names x sweep)."""
-    names, p_values = _fig3_params(ctx)
-    return [PlannedJob(_fig3_job(name, p, k), ctx.config, ctx.scale)
-            for k in range(FIG3_REPEATS)
-            for name in names
-            for p in p_values]
-
-
-def _aggregate_fig3(ctx: PlanContext, results: ResultMap):
-    """Rebuild ``repeats[k][name][p]`` and reuse the driver's statistics."""
-    names, p_values = _fig3_params(ctx)
-    repeats = [
-        {name: {p: results.for_job(_fig3_job(name, p, k), ctx.config,
-                                   ctx.scale)
-                for p in p_values}
-         for name in names}
-        for k in range(FIG3_REPEATS)
-    ]
-    return fig3.stability_from_repeats(repeats, names, p_values)
-
-
-register(Artifact(name="fig3", title="Fig 3: PInTE stability across seeds",
-                  plan=_plan_fig3, aggregate=_aggregate_fig3,
-                  render=fig3.format_report))
-
-
-# --------------------------------------------------------------------------
-# Fig 10 — real-system proxy on the xeon config
-# --------------------------------------------------------------------------
-
-#: 2nd-Trace panel size of the Fig 10 scatter.
-FIG10_PANEL_SIZE = 3
-
-
-def _plan_fig10(ctx: PlanContext) -> List[PlannedJob]:
-    """Plan the xeon-config sweep + pair scatter (ignores ``ctx.suite``)."""
-    config = get_machine_config("xeon")
-    names = list(FIG10_SUITE)
-    jobs: List[Job] = []
-    for name in names:
-        jobs.extend(Job(name, mode="pinte", p_induce=p)
-                    for p in fig10.FIG10_PINDUCE)
-    for name in names:
-        panel = adversary_panel(name, names, FIG10_PANEL_SIZE)
-        jobs.extend(Job(name, mode="pair", co_runner=other,
-                        co_seed=ctx.scale.seed) for other in panel)
-    return [PlannedJob(job, config, ctx.scale) for job in jobs]
-
-
-def _aggregate_fig10(ctx: PlanContext, results: ResultMap):
-    """Rebuild the sweep/pair structures and reuse the driver's scatter."""
-    config = get_machine_config("xeon")
-    names = list(FIG10_SUITE)
-    sweep = {
-        name: {p: results.for_job(Job(name, mode="pinte", p_induce=p),
-                                  config, ctx.scale)
-               for p in fig10.FIG10_PINDUCE}
-        for name in names
-    }
-    pairs_by_name = {
-        name: [results.for_job(Job(name, mode="pair", co_runner=other,
-                                   co_seed=ctx.scale.seed),
-                               config, ctx.scale)
-               for other in adversary_panel(name, names, FIG10_PANEL_SIZE)]
-        for name in names
-    }
-    return fig10.points_from_results(names, sweep, pairs_by_name,
-                                     fig10.allocation_fraction_for(config))
-
-
-register(Artifact(name="fig10", title="Fig 10: real-system proxy vs PInTE "
-                  "(xeon config)", plan=_plan_fig10,
-                  aggregate=_aggregate_fig10, render=fig10.format_report))
-
-
-# --------------------------------------------------------------------------
-# Fig 11 — design-choice case study across config variants
-# --------------------------------------------------------------------------
-
-def _fig11_job(name: str, p: float) -> Job:
-    """Isolation at p=0, PInTE otherwise — like the serial driver."""
-    if p > 0:
-        return Job(name, mode="pinte", p_induce=p)
-    return Job(name)
-
-
-def _plan_fig11(ctx: PlanContext) -> List[PlannedJob]:
-    """Plan every (dimension option, workload, P_induce) variant run."""
-    workloads = tuple(CASE_STUDY_SUITE)
-    planned: List[PlannedJob] = []
-    for dimension in fig11.DIMENSIONS:
-        for option in dimension.options:
-            variant = dimension.configure(ctx.config, option)
-            planned.extend(
-                PlannedJob(_fig11_job(name, p), variant, ctx.scale)
-                for name in workloads
-                for p in fig11.FIG11_PINDUCE)
-    return planned
-
-
-def _aggregate_fig11(ctx: PlanContext, results: ResultMap):
-    """Rebuild ``results[p][option][workload]`` per dimension and rank."""
-    workloads = tuple(CASE_STUDY_SUITE)
-    p_values = tuple(fig11.FIG11_PINDUCE)
-    sweeps = {}
-    for dimension in fig11.DIMENSIONS:
-        by_p = {p: {option: {} for option in dimension.options}
-                for p in p_values}
-        for option in dimension.options:
-            variant = dimension.configure(ctx.config, option)
-            for name in workloads:
-                for p in p_values:
-                    by_p[p][option][name] = results.for_job(
-                        _fig11_job(name, p), variant, ctx.scale)
-        sweeps[dimension.name] = fig11.sweep_from_results(
-            dimension, by_p, p_values, workloads)
-    return fig11.Fig11Result(sweeps=sweeps, p_values=p_values,
-                             workloads=workloads)
-
-
-register(Artifact(name="fig11", title="Fig 11: best design choice vs "
-                  "contention level", plan=_plan_fig11,
-                  aggregate=_aggregate_fig11, render=fig11.format_report))
-
-
-# --------------------------------------------------------------------------
-# N-core coverage/cost study — multicore jobs
-# --------------------------------------------------------------------------
-
-def _ncore_multi_job(victim: str, adversaries: Sequence[str],
-                     extra: int) -> Job:
-    """The (1 + extra)-core co-run job; co-runner i's trace seed is
-    ``scale.seed + 1 + i``, matching the serial study."""
-    return Job(victim, mode="multi", co_runners=tuple(adversaries[:extra]))
-
-
-def _plan_ncore(ctx: PlanContext) -> List[PlannedJob]:
-    """Plan the 2/3/4-core co-runs plus the single-core PInTE sweep."""
-    victim = ncore_study.DEFAULT_VICTIM
-    adversaries = ncore_study.DEFAULT_ADVERSARIES
-    planned = [
-        PlannedJob(_ncore_multi_job(victim, adversaries, extra),
-                   ctx.config, ctx.scale)
-        for extra in range(1, len(adversaries) + 1)
-    ]
-    planned.extend(
-        PlannedJob(Job(victim, mode="pinte", p_induce=p), ctx.config,
-                   ctx.scale)
-        for p in ncore_study.DEFAULT_PINDUCE)
-    return planned
-
-
-def _aggregate_ncore(ctx: PlanContext, results: ResultMap):
-    """Rebuild the by-cores/PInTE maps from the campaign results."""
-    victim = ncore_study.DEFAULT_VICTIM
-    adversaries = ncore_study.DEFAULT_ADVERSARIES
-    by_cores = {
-        extra + 1: results.for_job(
-            _ncore_multi_job(victim, adversaries, extra), ctx.config,
-            ctx.scale)
-        for extra in range(1, len(adversaries) + 1)
-    }
-    pinte = {
-        p: results.for_job(Job(victim, mode="pinte", p_induce=p),
-                           ctx.config, ctx.scale)
-        for p in ncore_study.DEFAULT_PINDUCE
-    }
-    return ncore_study.NcoreResult(victim=victim, by_cores=by_cores,
-                                   pinte=pinte)
-
-
-register(Artifact(name="ncore_study", title="N-core coverage/cost study",
-                  plan=_plan_ncore, aggregate=_aggregate_ncore,
-                  render=ncore_study.format_report))
-
-
-# --------------------------------------------------------------------------
-# Partitioning study — multicore jobs with partitioner schemes
-# --------------------------------------------------------------------------
-
-#: Repartitioning epoch the serial study uses.
-PARTITION_REPARTITION_INTERVAL = 4_000
-
-
-def _partition_jobs(ctx: PlanContext):
-    """The study's job vocabulary: two isolations + one co-run per scheme.
-
-    The victim isolation is a plain isolation job — shared (and therefore
-    deduplicated) with the bundle when the victim is in the suite. The
-    aggressor's isolation pins ``trace_seed=scale.seed + 1`` because the
-    serial study measures it on the exact shifted-seed trace used in the
-    shared run.
-    """
-    victim, aggressor = partition_study.DEFAULT_PAIR
-    iso_victim = Job(victim)
-    iso_aggressor = Job(aggressor, trace_seed=ctx.scale.seed + 1)
-    scheme_jobs = {
-        scheme: Job(victim, mode="multi", co_runners=(aggressor,),
-                    scheme=scheme,
-                    repartition_interval=PARTITION_REPARTITION_INTERVAL)
-        for scheme in partition_study.SCHEMES
-    }
-    return iso_victim, iso_aggressor, scheme_jobs
-
-
-def _plan_partition(ctx: PlanContext) -> List[PlannedJob]:
-    """Plan the isolation baselines plus one co-run per scheme."""
-    iso_victim, iso_aggressor, scheme_jobs = _partition_jobs(ctx)
-    jobs = [iso_victim, iso_aggressor] + list(scheme_jobs.values())
-    return [PlannedJob(job, ctx.config, ctx.scale) for job in jobs]
-
-
-def _aggregate_partition(ctx: PlanContext, results: ResultMap):
-    """Rebuild per-scheme outcomes (quotas come home in ``extra``)."""
-    victim, aggressor = partition_study.DEFAULT_PAIR
-    iso_victim, iso_aggressor, scheme_jobs = _partition_jobs(ctx)
-    isolations = [
-        results.for_job(iso_victim, ctx.config, ctx.scale),
-        results.for_job(iso_aggressor, ctx.config, ctx.scale),
-    ]
-    outcomes = {}
-    for scheme, job in scheme_jobs.items():
-        primary = results.for_job(job, ctx.config, ctx.scale)
-        per_core = [primary] + list(primary.co_results)
-        quotas = {
-            int(key.rsplit("_", 1)[1]): int(value)
-            for key, value in primary.extra.items()
-            if key.startswith("partition_quota_")
-        }
-        outcomes[scheme] = partition_study.outcome_from_results(
-            scheme, per_core, isolations, quotas)
-    return partition_study.PartitionStudyResult(
-        workloads=(victim, aggressor), outcomes=outcomes)
-
-
-register(Artifact(name="partition_study",
-                  title="Partitioning study: thefts vs LLC management",
-                  plan=_plan_partition, aggregate=_aggregate_partition,
-                  render=partition_study.format_report))
+_study_artifact("fig3", "Fig 3: PInTE stability across seeds",
+                fig3.plan_fig3, fig3.fig3_from_results, fig3.format_report,
+                _fig3_params)
+_study_artifact("fig10", "Fig 10: real-system proxy vs PInTE (xeon config)",
+                fig10.plan_fig10, fig10.fig10_from_results,
+                fig10.format_report,
+                lambda ctx: dict(names=list(FIG10_SUITE),
+                                 config=get_machine_config("xeon"),
+                                 scale=ctx.scale))
+_study_artifact("fig11", "Fig 11: best design choice vs contention level",
+                fig11.plan_fig11, fig11.fig11_from_results,
+                fig11.format_report, _machine_params)
+_study_artifact("ncore_study", "N-core coverage/cost study",
+                ncore_study.plan_ncore_study, ncore_study.ncore_from_results,
+                ncore_study.format_report, _machine_params)
+_study_artifact("partition_study",
+                "Partitioning study: thefts vs LLC management",
+                partition_study.plan_partition_study,
+                partition_study.partition_from_results,
+                partition_study.format_report, _machine_params)

@@ -10,14 +10,20 @@ reuse histograms, occupancy, exact eviction sequences and RNG draw counts.
 captured from the original object-per-block implementation, immediately
 before the flat-array ``CacheSetState`` refactor;
 ``tests/integration/test_golden_equivalence.py`` asserts the current data
-path reproduces it bit-for-bit. Regenerate the file (only for an
-*intentional* behaviour change) with ``scripts/capture_goldens.py``.
+path reproduces it bit-for-bit. Its ``reports`` section, captured from the
+serial per-figure drivers before they were folded into the artifact
+registry, pins rendered report text and ``repro sweep`` output instead.
+Regenerate the file (only for an *intentional* behaviour change) with
+``scripts/capture_goldens.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+import io
+import time
+from contextlib import contextmanager, redirect_stdout
+from typing import Dict, Optional
 
 from repro.config import scaled_config
 from repro.core import PInTE, PinteConfig
@@ -26,6 +32,7 @@ from repro.cache.cache import Cache
 from repro.obs import Observation
 from repro.sim.fastcache import simulate_cache_only
 from repro.sim.multicore import simulate_multiprogrammed
+from repro.sim.runner import ExperimentScale
 from repro.sim.simulator import simulate
 from repro.trace import build_trace, get_workload
 
@@ -384,6 +391,110 @@ def victim_sequence_goldens() -> dict:
     return goldens
 
 
+#: Report-golden inputs: all thirteen registered artifacts rendered at this
+#: scale, suite, sweep and 2nd-Trace panel.
+REPORT_SCALE = ExperimentScale(warmup_instructions=500, sim_instructions=2_000,
+                               sample_interval=500, seed=7)
+REPORT_SUITE = ("435.gromacs", "453.povray", "470.lbm", "605.mcf")
+REPORT_P_VALUES = (0.05, 0.3, 1.0)
+REPORT_PANEL = 2
+REPORT_ARTIFACTS = ("table1", "fig1", "table2", "fig5", "fig6", "fig7",
+                    "fig8", "fig9", "fig3", "fig10", "fig11", "ncore_study",
+                    "partition_study")
+#: Scales of the custom-parameter study runs the experiment tests make.
+STUDY_SCALE = ExperimentScale(warmup_instructions=1_000, sim_instructions=4_000,
+                              sample_interval=1_000)
+PARTITION_SCALE = ExperimentScale(warmup_instructions=1_500,
+                                  sim_instructions=8_000, sample_interval=2_000)
+#: ``repro sweep`` invocation whose stdout is pinned.
+SWEEP_ARGV = ("sweep", "470.lbm", "--p-induce", "0.2", "0.6", "1.0",
+              "--instructions", "4000", "--warmup", "1000")
+
+
+class FakeClock:
+    """Deterministic ``perf_counter``: a fixed step per call."""
+
+    def __init__(self, step: float = 0.001) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+@contextmanager
+def fake_perf_counter():
+    """Swap ``time.perf_counter`` for a :class:`FakeClock`.
+
+    Table I and the n-core study render per-run wall seconds; under the
+    fake clock a duration is step x call-count, identical for identical
+    simulations regardless of execution order or host load.
+    """
+    real = time.perf_counter
+    time.perf_counter = FakeClock()
+    try:
+        yield
+    finally:
+        time.perf_counter = real
+
+
+def artifact_reports() -> Dict[str, str]:
+    """Every artifact's report at the ``REPORT_*`` inputs, through the
+    registry's plan → execute → aggregate → render pipeline."""
+    from repro.experiments.registry import (
+        PlanContext, execute_plan, get_artifact, plan_union)
+
+    ctx = PlanContext(config=scaled_config(), scale=REPORT_SCALE,
+                      suite=REPORT_SUITE, p_values=REPORT_P_VALUES,
+                      panel_size=REPORT_PANEL)
+    results = execute_plan(plan_union(REPORT_ARTIFACTS, ctx)).results
+    return {name: get_artifact(name).report(ctx, results)
+            for name in REPORT_ARTIFACTS}
+
+
+def study_reports() -> Dict[str, str]:
+    """Reports of the studies run with non-default parameters."""
+    from repro.config import xeon_config
+    from repro.experiments import fig3, fig10, fig11, partition_study
+
+    config = scaled_config()
+    return {
+        "fig3": fig3.format_report(fig3.run_fig3(
+            ["435.gromacs", "470.lbm"], config, STUDY_SCALE,
+            p_values=(0.1, 0.5), n_repeats=3)),
+        "fig10": fig10.format_report(fig10.run_fig10(
+            names=("619.lbm", "648.exchange2"), config=xeon_config(),
+            scale=STUDY_SCALE, p_values=(0.05, 0.5, 1.0), panel_size=1)),
+        "fig11": fig11.format_report(fig11.run_fig11(
+            config, STUDY_SCALE, workloads=("450.soplex", "470.lbm"),
+            p_values=(0.0, 0.5),
+            dimensions=[d for d in fig11.DIMENSIONS
+                        if d.name in ("replacement", "branching")])),
+        "partition_study": partition_study.format_report(
+            partition_study.run_partition_study(
+                config, PARTITION_SCALE, repartition_interval=2_000)),
+    }
+
+
+def sweep_stdout() -> str:
+    """What ``repro sweep`` prints for :data:`SWEEP_ARGV`."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(list(SWEEP_ARGV))
+    return out.getvalue()
+
+
+def report_goldens() -> dict:
+    """Rendered reports and CLI output, all under the fake clock."""
+    with fake_perf_counter():
+        return {"artifacts": artifact_reports(),
+                "studies": study_reports(),
+                "sweep": sweep_stdout()}
+
+
 def capture_all() -> dict:
     """The full golden payload, matrix metadata included."""
     return {
@@ -401,4 +512,5 @@ def capture_all() -> dict:
         "multicore": multicore_goldens(),
         "hybrid": hybrid_goldens(),
         "hooks": hook_goldens(),
+        "reports": report_goldens(),
     }

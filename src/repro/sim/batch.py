@@ -1,19 +1,13 @@
-"""Job manifests and the backward-compatible batch runner.
+"""Job manifests: the vocabulary every experiment is written in.
 
 The paper's Table I is a story about simulation cost; at reproduction
 scale the practical answer is :mod:`repro.campaign` — a fault-tolerant
 scheduler with retries, timeouts, a persistent result store, resume and
-sharding. This module keeps the two pieces the rest of the codebase (and
-older callers) build on:
-
-* :class:`Job` / :func:`run_job` / :func:`campaign_jobs` — the declarative
-  job vocabulary every campaign is written in. Jobs are specified by
-  *name*, not by object, so they pickle cheaply: each worker rebuilds its
-  trace from the workload registry.
-* :func:`run_batch` — a thin shim over
-  :func:`repro.campaign.run_campaign` preserving the original "list in,
-  results in job order out" contract (no retries, no store, first failure
-  raises).
+sharding. :class:`Job` / :func:`run_job` / :func:`campaign_jobs` are what
+it runs: jobs are specified by *name*, not by object, so they pickle
+cheaply and each worker rebuilds its trace from the workload registry.
+Every table, figure, study and sweep plans its jobs in this vocabulary
+(:mod:`repro.experiments.plan`).
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MachineConfig
 from repro.core import PinteConfig
-from repro.obs.profile import PhaseProfiler
 from repro.sim.multicore import simulate_multiprogrammed, simulate_pair
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentScale
@@ -32,6 +25,18 @@ from repro.sim.simulator import simulate
 from repro.trace.spec_models import get_workload
 from repro.trace.store import TraceStore
 from repro.trace.synthetic import build_trace
+
+
+#: Optional :class:`Job` fields and the modes that use them; setting one
+#: on any other mode would be silently ignored, so it is refused.
+_MODE_FIELDS = {
+    "p_induce": ("pinte", "pair", "multi"),
+    "co_runner": ("pair",),
+    "co_seed": ("pair", "multi"),
+    "co_runners": ("multi",),
+    "scheme": ("multi",),
+    "repartition_interval": ("multi",),
+}
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class Job:
     and ``multi`` modes; the default (``None``) keeps the historical
     ``scale.seed + 1`` so paired runs never share a trace stream by
     accident. In ``multi`` mode the i-th co-runner's trace seed is
-    ``co_seed + i``, matching the serial n-core study convention.
+    ``co_seed + i`` (the n-core study's convention).
 
     ``pinte_seed`` pins the PInTE RNG stream independently of the trace
     (the Fig. 3 stability study re-runs the same trace under fresh PInTE
@@ -78,6 +83,15 @@ class Job:
             raise ValueError("pair jobs need a co_runner")
         if self.mode == "multi" and not self.co_runners:
             raise ValueError("multi jobs need co_runners")
+        for name, modes in _MODE_FIELDS.items():
+            if getattr(self, name) is not None and self.mode not in modes:
+                raise ValueError(
+                    f"{name} is not valid for {self.mode} jobs "
+                    f"(only {'/'.join(modes)})")
+        if self.pinte_seed is not None and self.p_induce is None:
+            raise ValueError(
+                f"pinte_seed is not valid for {self.mode} jobs without "
+                "p_induce")
         if self.co_runners is not None and not isinstance(self.co_runners,
                                                           tuple):
             # JSON round-trips hand back lists; keep the job hashable.
@@ -222,43 +236,6 @@ def run_job(job: Job, config: MachineConfig, scale: ExperimentScale,
             observe.registry.count("trace.cache.miss",
                                    int(result.extra["trace_cache_misses"]))
     return result
-
-
-def run_batch(jobs: Sequence[Job], config: MachineConfig,
-              scale: ExperimentScale,
-              processes: Optional[int] = None,
-              profiler: Optional[PhaseProfiler] = None,
-              executor: Optional[str] = None) -> List[SimulationResult]:
-    """Run jobs, in parallel when ``processes`` allows it.
-
-    Backward-compatible shim over :func:`repro.campaign.run_campaign`:
-    no retries, no result store, and the first job failure raises
-    :class:`repro.campaign.CampaignError` once the batch finishes.
-
-    ``processes=1`` (or a single job) executes **inline in this process**
-    — no worker subprocesses at all, whichever ``executor`` is named — so
-    ``pdb`` and profilers attach naturally and KeyboardInterrupt stops
-    the run cleanly. With more processes, ``executor`` picks the
-    scheduler: ``"pool"`` (the default) keeps N work-stealing workers
-    alive for the whole batch, ``"spawn"`` forks one process per job.
-    Results come back in job order either way. A ``profiler`` gets one
-    wall-clock span per job (inline) or one for the whole batch
-    (parallel — per-job spans would need cross-process clocks).
-    """
-    from repro.campaign.engine import RetryPolicy, run_campaign
-
-    jobs = list(jobs)
-    if not jobs:
-        return []
-    observe = None
-    if profiler is not None:
-        from repro.obs import Observation
-        observe = Observation(profiler=profiler)
-    report = run_campaign(jobs, config, scale, processes=processes,
-                          retry=RetryPolicy(max_attempts=1),
-                          observe=observe, raise_on_failure=True,
-                          executor=executor)
-    return report.results
 
 
 def campaign_jobs(

@@ -1,29 +1,22 @@
-"""Experiment sweep helpers.
+"""Experiment scale, the in-memory trace library and adversary panels.
 
-The experiments in :mod:`repro.experiments` all follow the same recipe: pick
-workloads, run them in isolation, under a PInTE sweep, and/or against
-2nd-Trace adversaries, at a common scale. This module provides the shared
-machinery — a trace cache plus the three context runners — so each
-table/figure driver stays declarative.
+Every experiment job runs through :mod:`repro.experiments.plan` and the
+campaign engine; this module holds the shared pieces those plans are
+written in: how big each simulation is (:class:`ExperimentScale`), which
+co-runners a benchmark meets (:func:`adversary_panel`), and a trace cache
+for the ablation drivers, which call the hosts directly
+(:class:`TraceLibrary`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
-from repro.core import PAPER_PINDUCE_SWEEP, PinteConfig
-from repro.obs import Observation
-from repro.obs.registry import MetricRegistry
 from repro.serde import ConfigSerde
-from repro.sim.multicore import simulate_pair
-from repro.sim.results import SimulationResult
-from repro.sim.simulator import simulate
 from repro.trace.record import Trace
 from repro.trace.spec_models import get_workload
-from repro.trace.store import TraceStore
 from repro.trace.synthetic import build_trace
 
 
@@ -53,138 +46,26 @@ BENCH_SCALE = ExperimentScale()
 
 
 class TraceLibrary:
-    """Builds and caches synthetic traces keyed by (workload, llc, length).
+    """Builds and caches synthetic traces keyed by (workload, llc, length,
+    seed)."""
 
-    ``store`` plugs in a shared on-disk :class:`~repro.trace.store.TraceStore`
-    consulted before generating, so repeated runs (and concurrent campaign
-    workers) build each trace once per machine. ``observe`` attaches the
-    observability bundle: builds/loads land as ``trace.cache.hit`` /
-    ``trace.cache.miss`` registry counters and ``trace.generate`` /
-    ``trace.load`` profiler spans.
-    """
-
-    def __init__(self, config: MachineConfig, scale: ExperimentScale,
-                 store: Optional[TraceStore] = None,
-                 observe: Optional[Observation] = None) -> None:
+    def __init__(self, config: MachineConfig, scale: ExperimentScale) -> None:
         self.config = config
         self.scale = scale
-        self.store = store
-        self.observe = observe
         self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
-
-    def _instruments(self):
-        """(registry, profiler) from the attached observation, if any."""
-        if self.observe is None:
-            return None, None
-        if self.observe.registry is None:
-            self.observe.registry = MetricRegistry()
-        return self.observe.registry, self.observe.profiler
-
-    def _build(self, name: str, length: int, seed: int) -> Trace:
-        registry, profiler = self._instruments()
-        if self.store is not None:
-            return self.store.get_or_build(name, self.config.llc.size, length,
-                                           seed, registry=registry,
-                                           profiler=profiler)
-        start = time.perf_counter()
-        trace = build_trace(get_workload(name), length, seed,
-                            self.config.llc.size)
-        seconds = time.perf_counter() - start
-        if registry is not None:
-            registry.count("trace.cache.miss")
-        if profiler is not None:
-            profiler.add_span("trace.generate", start - profiler.origin,
-                              seconds)
-        return trace
 
     def get(self, name: str, length: Optional[int] = None,
             seed: Optional[int] = None) -> Trace:
-        """The trace for ``name`` — from memory, disk store, or generation."""
+        """The trace for ``name``, generated on first use."""
         length = length if length is not None else self.scale.trace_length
         seed = seed if seed is not None else self.scale.seed
         key = (name, self.config.llc.size, length, seed)
         trace = self._cache.get(key)
         if trace is None:
-            trace = self._build(name, length, seed)
+            trace = build_trace(get_workload(name), length, seed,
+                                self.config.llc.size)
             self._cache[key] = trace
         return trace
-
-
-def run_isolation(
-    names: Sequence[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    library: Optional[TraceLibrary] = None,
-) -> Dict[str, SimulationResult]:
-    """One isolation run per workload."""
-    library = library or TraceLibrary(config, scale)
-    return {
-        name: simulate(
-            library.get(name), config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval,
-            seed=scale.seed,
-        )
-        for name in names
-    }
-
-
-def run_pinte_sweep(
-    names: Sequence[str],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    p_values: Iterable[float] = PAPER_PINDUCE_SWEEP,
-    library: Optional[TraceLibrary] = None,
-    pinte_seed: Optional[int] = None,
-) -> Dict[str, Dict[float, SimulationResult]]:
-    """PInTE runs: every workload at every ``P_induce`` configuration."""
-    library = library or TraceLibrary(config, scale)
-    sweep: Dict[str, Dict[float, SimulationResult]] = {}
-    for name in names:
-        trace = library.get(name)
-        sweep[name] = {
-            p: simulate(
-                trace, config,
-                pinte=PinteConfig(
-                    p_induce=p,
-                    seed=pinte_seed if pinte_seed is not None else scale.seed,
-                ),
-                warmup_instructions=scale.warmup_instructions,
-                sim_instructions=scale.sim_instructions,
-                sample_interval=scale.sample_interval,
-                seed=scale.seed,
-            )
-            for p in p_values
-        }
-    return sweep
-
-
-def run_pairs(
-    pairs: Sequence[Tuple[str, str]],
-    config: MachineConfig,
-    scale: ExperimentScale,
-    library: Optional[TraceLibrary] = None,
-) -> Dict[Tuple[str, str], SimulationResult]:
-    """2nd-Trace runs: primary measured against each secondary.
-
-    The paper's 2nd-Trace protocol has no warm-up (data collected every 10M
-    from the start, early samples discarded in analysis); we mirror that by
-    warming 0 instructions and letting callers drop early samples.
-    """
-    library = library or TraceLibrary(config, scale)
-    results: Dict[Tuple[str, str], SimulationResult] = {}
-    for primary_name, secondary_name in pairs:
-        primary = library.get(primary_name)
-        secondary = library.get(secondary_name)
-        results[(primary_name, secondary_name)] = simulate_pair(
-            primary, secondary, config,
-            warmup_instructions=scale.warmup_instructions,
-            sim_instructions=scale.sim_instructions,
-            sample_interval=scale.sample_interval,
-            seed=scale.seed,
-        )
-    return results
 
 
 def adversary_panel(target: str, all_names: Sequence[str], count: int) -> List[str]:

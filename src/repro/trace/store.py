@@ -6,10 +6,9 @@ paper's cost problem (188 one-billion-instruction traces). The
 :class:`TraceStore` is a content-addressed cache of ``PNTR2`` trace files
 keyed by the exact :class:`~repro.sim.runner.TraceLibrary` key scheme —
 (workload, llc_bytes, length, seed) — plus a format-version salt, so a
-format bump can never serve stale bytes. Every consumer (the in-process
-``TraceLibrary``, ``repro.sim.batch.run_job`` workers, the campaign
-engine, the ``repro trace cache`` CLI) consults the store before
-generating.
+format bump can never serve stale bytes. Every consumer
+(``repro.sim.batch.run_job`` workers, the campaign engine, the
+``repro trace cache`` CLI) consults the store before generating.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent campaign
 workers can share one store directory without locking: the worst case is

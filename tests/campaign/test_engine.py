@@ -18,7 +18,7 @@ from repro.campaign import (
 )
 from repro.campaign.ids import job_id
 from repro.sim import ExperimentScale
-from repro.sim.batch import run_batch, run_job
+from repro.sim.batch import run_job
 from repro.sim.serialize import result_to_dict
 
 TINY = ExperimentScale(warmup_instructions=500, sim_instructions=2_000,
@@ -132,16 +132,6 @@ class TestInlineExecution:
         assert [r.trace_name for r in report.results] == ["435.gromacs",
                                                           "453.povray"]
 
-    def test_run_batch_single_process_inline(self, config, monkeypatch):
-        import repro.campaign.engine as engine
-
-        def no_processes(*args, **kwargs):
-            raise AssertionError("run_batch(processes=1) spawned a subprocess")
-
-        monkeypatch.setattr(engine.multiprocessing, "Process", no_processes)
-        results = run_batch([Job("435.gromacs")], config, TINY, processes=1)
-        assert results[0].trace_name == "435.gromacs"
-
     def test_parallel_matches_inline(self, config):
         jobs = [Job("435.gromacs"),
                 Job("470.lbm", mode="pinte", p_induce=0.3),
@@ -153,13 +143,18 @@ class TestInlineExecution:
 
 
 class TestRunBatchShim:
+    """A plain batch — no retries, ``raise_on_failure`` — is just a
+    campaign configuration: the first failure raises after the run."""
+
     def test_failure_raises_campaign_error(self, config):
         with pytest.raises(CampaignError):
-            run_batch([Job(fault_workload("raise"))], config, TINY,
-                      processes=1)
+            run_campaign([Job(fault_workload("raise"))], config, TINY,
+                         processes=1, retry=NO_RETRY, raise_on_failure=True)
 
     def test_empty_batch(self, config):
-        assert run_batch([], config, TINY) == []
+        report = run_campaign([], config, TINY, retry=NO_RETRY,
+                              raise_on_failure=True)
+        assert report.results == []
 
 
 class TestStoreIntegration:

@@ -73,11 +73,12 @@ def lbm_pinte(lbm_trace, config):
 @pytest.fixture(scope="session")
 def tiny_bundle(config):
     """A small but complete three-context campaign for experiment tests."""
-    from repro.experiments import build_contexts
+    from repro.experiments.registry import (
+        PlanContext, bundle_from_results, execute_plan, plan_union)
 
-    names = ["435.gromacs", "453.povray", "470.lbm", "605.mcf"]
-    return build_contexts(
-        names, config, TINY,
-        p_values=(0.02, 0.1, 0.3, 0.7, 1.0),
-        panel_size=2,
-    )
+    ctx = PlanContext(config=config, scale=TINY,
+                      suite=("435.gromacs", "453.povray", "470.lbm",
+                             "605.mcf"),
+                      p_values=(0.02, 0.1, 0.3, 0.7, 1.0), panel_size=2)
+    outcome = execute_plan(plan_union(["table1"], ctx))
+    return bundle_from_results(ctx, outcome.results)

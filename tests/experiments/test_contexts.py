@@ -1,6 +1,11 @@
 """Unit tests for the shared context bundle."""
 
-from repro.experiments.contexts import ContextBundle, build_contexts
+from repro.experiments.registry import (
+    PlanContext,
+    bundle_from_results,
+    execute_plan,
+    plan_union,
+)
 
 
 class TestBundleContents:
@@ -37,29 +42,37 @@ class TestBundleContents:
         assert all(r.mode == "2nd-trace" for r in tiny_bundle.all_pairs())
 
 
+def build_bundle(ctx, **execution):
+    """The bundle of ``ctx`` through plan -> execute -> assemble."""
+    outcome = execute_plan(plan_union(["table1"], ctx), **execution)
+    return bundle_from_results(ctx, outcome.results)
+
+
 class TestBuildOptions:
     def test_pairs_optional(self, config, tiny_scale):
-        bundle = build_contexts(["435.gromacs"], config, tiny_scale,
-                                p_values=(0.5,), include_pairs=False)
+        ctx = PlanContext(config=config, scale=tiny_scale,
+                          suite=["435.gromacs"], p_values=(0.5,),
+                          panel_size=0)
+        bundle = build_bundle(ctx)
         assert bundle.pairs == {}
         assert bundle.pair_results("435.gromacs") == []
 
     def test_parallel_bundle_matches_serial(self, config, tiny_scale):
-        """Campaign-engine fan-out must be bit-identical to the serial
-        path (pair jobs pin the serial runners' trace seeds)."""
+        """Worker-process fan-out must be bit-identical to inline
+        execution of the same plan."""
         from repro.sim.serialize import result_to_dict
 
         names = ["435.gromacs", "470.lbm"]
-        serial = build_contexts(names, config, tiny_scale, p_values=(0.5,),
-                                panel_size=1)
-        parallel = build_contexts(names, config, tiny_scale, p_values=(0.5,),
-                                  panel_size=1, processes=2)
+        ctx = PlanContext(config=config, scale=tiny_scale, suite=names,
+                          p_values=(0.5,), panel_size=1)
+        serial = build_bundle(ctx)
+        parallel = build_bundle(ctx, processes=2)
 
         def comparable(result):
             record = result_to_dict(result)
             record.pop("wall_time_seconds", None)
             # Wall-clock spans and trace-cache tallies are run bookkeeping,
-            # not simulation output — only the campaign path records them.
+            # not simulation output.
             record["extra"] = {k: v for k, v in record["extra"].items()
                                if not k.endswith("_seconds")
                                and not k.startswith("trace_cache_")}

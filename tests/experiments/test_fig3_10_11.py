@@ -1,5 +1,11 @@
 """Tests for the self-contained drivers: Fig 3 (stability), Fig 10 (real
-system) and Fig 11 (case study). These run their own small campaigns."""
+system) and Fig 11 (case study). These run their own small campaigns.
+
+Each rendered report must match the one captured from the seed serial
+drivers (``reports.studies`` in the golden file)."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +15,9 @@ from repro.sim import ExperimentScale
 
 SMALL = ExperimentScale(warmup_instructions=1_000, sim_instructions=4_000,
                         sample_interval=1_000)
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "golden"
+                     / "golden_traces.json").read_text())
+STUDY_REPORTS = GOLDEN["reports"]["studies"]
 
 
 class TestFig3:
@@ -43,6 +52,9 @@ class TestFig3:
     def test_report_renders(self, result):
         text = fig3.format_report(result)
         assert "Fig 3" in text
+
+    def test_report_matches_golden(self, result):
+        assert fig3.format_report(result) == STUDY_REPORTS["fig3"]
 
 
 class TestFig10:
@@ -81,6 +93,9 @@ class TestFig10:
 
     def test_report_renders(self, result):
         assert "Fig 10" in fig10.format_report(result)
+
+    def test_report_matches_golden(self, result):
+        assert fig10.format_report(result) == STUDY_REPORTS["fig10"]
 
 
 class TestFig11:
@@ -121,3 +136,6 @@ class TestFig11:
     def test_report_renders(self, result):
         text = fig11.format_report(result)
         assert "replacement" in text and "branching" in text
+
+    def test_report_matches_golden(self, result):
+        assert fig11.format_report(result) == STUDY_REPORTS["fig11"]

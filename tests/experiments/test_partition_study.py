@@ -1,5 +1,8 @@
 """Tests for the partitioning extension study."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import partition_study
@@ -7,6 +10,8 @@ from repro.sim import ExperimentScale
 
 TINY = ExperimentScale(warmup_instructions=1_500, sim_instructions=8_000,
                        sample_interval=2_000)
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "golden"
+                     / "golden_traces.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,11 @@ class TestStudy:
         text = partition_study.format_report(study)
         assert "Partitioning study" in text
         assert "casht" in text
+
+    def test_report_matches_golden(self, study):
+        """Byte-identical to the report the seed serial study rendered."""
+        assert (partition_study.format_report(study)
+                == GOLDEN["reports"]["studies"]["partition_study"])
 
     def test_unknown_scheme_rejected(self, config):
         with pytest.raises(ValueError, match="unknown scheme"):

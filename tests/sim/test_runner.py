@@ -1,15 +1,6 @@
-"""Unit tests for the sweep runner and trace library."""
+"""Unit tests for the experiment scale, trace library and panels."""
 
-import pytest
-
-from repro.sim import (
-    ExperimentScale,
-    TraceLibrary,
-    adversary_panel,
-    run_isolation,
-    run_pairs,
-    run_pinte_sweep,
-)
+from repro.sim import ExperimentScale, TraceLibrary, adversary_panel
 
 SCALE = ExperimentScale(warmup_instructions=500, sim_instructions=2000,
                         sample_interval=500)
@@ -41,28 +32,6 @@ class TestTraceLibrary:
     def test_trace_named_after_workload(self, config):
         library = TraceLibrary(config, SCALE)
         assert library.get("470.lbm").name == "470.lbm"
-
-
-class TestRunners:
-    def test_run_isolation(self, config):
-        results = run_isolation(["435.gromacs", "453.povray"], config, SCALE)
-        assert set(results) == {"435.gromacs", "453.povray"}
-        assert all(r.mode == "isolation" for r in results.values())
-
-    def test_run_pinte_sweep(self, config):
-        sweep = run_pinte_sweep(["435.gromacs"], config, SCALE,
-                                p_values=(0.1, 0.5))
-        assert set(sweep["435.gromacs"]) == {0.1, 0.5}
-        for p, result in sweep["435.gromacs"].items():
-            assert result.p_induce == p
-            assert result.mode == "pinte"
-
-    def test_run_pairs(self, config):
-        pairs = [("435.gromacs", "470.lbm")]
-        results = run_pairs(pairs, config, SCALE)
-        result = results[("435.gromacs", "470.lbm")]
-        assert result.trace_name == "435.gromacs"
-        assert result.co_runner == "470.lbm"
 
 
 class TestAdversaryPanel:

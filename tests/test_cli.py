@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import goldens
 from repro.cli import build_parser, main
 from repro.trace import read_trace
 
@@ -181,6 +183,17 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "weighted IPC" in out
         assert "sensitivity: LOW" in out
+
+    def test_output_matches_golden(self, capsys):
+        """Byte-identical to what the seed serial sweep printed."""
+        golden = json.loads((Path(__file__).resolve().parent / "golden"
+                             / "golden_traces.json").read_text())
+        assert main(list(goldens.SWEEP_ARGV)) == 0
+        assert capsys.readouterr().out == golden["reports"]["sweep"]
+
+    def test_unknown_workload(self):
+        with pytest.raises(SystemExit, match="unknown workload"):
+            main(["sweep", "999.bogus", "--instructions", "1000"])
 
     def test_sensitive_workload_flagged(self, capsys):
         assert main(["sweep", "470.lbm", "--p-induce", "0.2", "0.6", "1.0",
