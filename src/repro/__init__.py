@@ -52,7 +52,6 @@ from repro.core import (
 )
 from repro.owners import SYSTEM_OWNER
 from repro.sim import (
-    BENCH_SCALE,
     ExperimentScale,
     SimulationResult,
     TEST_SCALE,
@@ -73,7 +72,6 @@ from repro.trace import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BENCH_SCALE",
     "CacheLevelConfig",
     "ContentionCounters",
     "ContentionTracker",

@@ -8,7 +8,6 @@ from repro.sim.characterize import (
 from repro.sim.multicore import all_pairs, simulate_multiprogrammed, simulate_pair
 from repro.sim.results import SAMPLE_METRICS, Sample, SimulationResult
 from repro.sim.runner import (
-    BENCH_SCALE,
     ExperimentScale,
     TEST_SCALE,
     TraceLibrary,
@@ -17,7 +16,6 @@ from repro.sim.runner import (
 from repro.sim.simulator import DEFAULT_SAMPLE_INTERVAL, simulate
 
 __all__ = [
-    "BENCH_SCALE",
     "DEFAULT_SAMPLE_INTERVAL",
     "ExperimentScale",
     "SAMPLE_METRICS",

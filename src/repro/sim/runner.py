@@ -41,8 +41,6 @@ class ExperimentScale(ConfigSerde):
 #: Small scale for unit/integration tests.
 TEST_SCALE = ExperimentScale(warmup_instructions=2_000, sim_instructions=8_000,
                              sample_interval=1_000)
-#: Default scale for the benchmark harness.
-BENCH_SCALE = ExperimentScale()
 
 
 class TraceLibrary:

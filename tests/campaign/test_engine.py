@@ -5,6 +5,8 @@ simulations and aggressive backoffs so the whole module stays in the
 seconds range.
 """
 
+import threading
+
 import pytest
 
 from repro.campaign import (
@@ -15,6 +17,7 @@ from repro.campaign import (
     campaign_jobs,
     fault_workload,
     run_campaign,
+    telemetry_dir_for,
 )
 from repro.campaign.ids import job_id
 from repro.sim import ExperimentScale
@@ -293,3 +296,16 @@ class TestObservability:
         assert registry.value("campaign.retry") == 2
         assert registry.value("campaign.jobs_total") == 2
         assert registry.value("campaign.wall_seconds") > 0
+
+    def test_telemetry_off_campaign_leaves_no_artifacts(self, config,
+                                                        tmp_path):
+        """Off means off: no spool directory, no sampler threads."""
+        store = tmp_path / "results.jsonl"
+        threads_before = threading.active_count()
+        report = run_campaign([Job("470.lbm")], config, TINY, processes=0,
+                              store=store)
+        assert report.ok
+        assert report.telemetry is None
+        assert report.telemetry_dir is None
+        assert not telemetry_dir_for(store).exists()
+        assert threading.active_count() == threads_before

@@ -135,6 +135,12 @@ class TestUnionPlan:
         assert plan.planned_total == 8 * plan.unique_total
         assert plan.dedup_ratio == pytest.approx(8.0)
 
+    def test_full_registry_union_strictly_smaller(self, ctx):
+        """Even with the standalone artifacts, the union of all thirteen
+        executes strictly fewer jobs than the per-artifact sum."""
+        plan = plan_union(artifact_names(), ctx)
+        assert plan.unique_total < plan.planned_total
+
     def test_partition_study_shares_the_victim_isolation(self, config):
         ctx = PlanContext(config=config, scale=TINY,
                           suite=("450.soplex", "470.lbm"),
